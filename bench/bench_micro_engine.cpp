@@ -1,24 +1,14 @@
 // bench_micro_engine — event-core throughput, isolated from the rest
 // of the simulator.
 //
-// Replays the same synthetic swarm-shaped workload (50k peers by
-// default; the paper-true 181,729-peer swarm under
-// PEERSCOPE_BENCH_FULL_SCALE) through two schedulers and prints
-// events/sec for each:
-//
-//   legacy-heap    the pre-calendar engine verbatim: std::priority_queue
-//                  of (at, seq) items + std::unordered_map<seq,
-//                  std::function> for callback storage and cancellation
-//   calendar-soa   sim::Engine today: calendar queue + slab event pool
-//                  with inline callable storage
+// Replays a synthetic swarm-shaped workload (50k peers by default; the
+// paper-true 181,729-peer swarm under PEERSCOPE_BENCH_FULL_SCALE)
+// through sim::Engine (calendar queue + slab event pool with inline
+// callable storage) and prints events/sec.
 //
 // The workload mimics what the swarm actually schedules: per-peer tick
-// chains, fan-out request events with 24+-byte captures (beyond
-// std::function's small-object buffer, so the legacy path pays the
-// same per-event allocation the real swarm did), and a cancellation
-// stream. The committed perf trajectory pins the calendar-soa number;
-// the printed speedup documents the engine-rework gain (>=5x gate,
-// checked in the PR, advisory here).
+// chains, fan-out request events with 24+-byte captures, and a
+// cancellation stream. The committed perf trajectory pins the number.
 //
 //   PEERSCOPE_BENCH_JSON=1  writes bench_micro_engine.json
 //                           (peerscope.bench schema) for the
@@ -26,10 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <queue>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -42,82 +28,14 @@ namespace {
 using peerscope::util::Rng;
 using peerscope::util::SimTime;
 
-// The pre-change scheduler, embedded verbatim (minus obs publishing,
-// which the plain bench path never enabled anyway) so the comparison
-// survives the old code's deletion from src/sim.
-class LegacyEngine {
- public:
-  using Callback = std::function<void()>;
-
-  class Handle {
-   public:
-    Handle() = default;
-
-   private:
-    friend class LegacyEngine;
-    explicit Handle(std::uint64_t id) : id_(id) {}
-    std::uint64_t id_ = 0;
-  };
-
-  [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] std::uint64_t executed() const { return executed_; }
-
-  Handle schedule_at(SimTime at, Callback cb) {
-    const std::uint64_t seq = next_seq_++;
-    queue_.push(Item{at, seq});
-    live_.emplace(seq, std::move(cb));
-    return Handle{seq};
-  }
-
-  Handle schedule_after(SimTime delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
-  }
-
-  bool cancel(Handle handle) {
-    if (handle.id_ == 0) return false;
-    return live_.erase(handle.id_) > 0;
-  }
-
-  void run_until(SimTime horizon) {
-    while (!queue_.empty()) {
-      const Item item = queue_.top();
-      if (item.at > horizon) break;
-      queue_.pop();
-      const auto it = live_.find(item.seq);
-      if (it == live_.end()) continue;  // cancelled
-      Callback cb = std::move(it->second);
-      live_.erase(it);
-      now_ = item.at;
-      ++executed_;
-      cb();
-    }
-  }
-
- private:
-  struct Item {
-    SimTime at;
-    std::uint64_t seq;
-    bool operator<(const Item& other) const {
-      if (at != other.at) return at > other.at;
-      return seq > other.seq;
-    }
-  };
-
-  SimTime now_{0};
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Item> queue_;
-  std::unordered_map<std::uint64_t, Callback> live_;
-};
-
 // Reference spec: every peer runs a 100 ms tick chain; each tick
 // mutates per-peer state and fans out two request events with
 // jittered sub-second delays, one of which is sometimes cancelled —
 // the pending-set size and capture shapes of a real swarm run,
 // without the swarm. The default 50k-peer swarm keeps the pending set
-// at the scale the engine rework targets (a 2k-peer set fits in L2
-// either way and understates the gap); PEERSCOPE_BENCH_FULL_SCALE
-// runs the paper-true Asian-peak swarm.
+// at the scale the engine targets (a 2k-peer set fits in L2 and
+// flatters it); PEERSCOPE_BENCH_FULL_SCALE runs the paper-true
+// Asian-peak swarm.
 struct WorkloadSpec {
   int peers = 50'000;
   SimTime horizon = SimTime::seconds(20);
@@ -132,7 +50,6 @@ struct WorkloadResult {
   }
 };
 
-template <class EngineT>
 class Workload {
  public:
   explicit Workload(const WorkloadSpec& spec)
@@ -159,9 +76,8 @@ class Workload {
   void tick(std::size_t peer) {
     state_[peer] =
         state_[peer] * 6364136223846793005ULL + 1442695040888963407ULL;
-    // Two fan-out requests per tick. The capture (this + peer + a
-    // deadline) tops std::function's small-object buffer, as the real
-    // swarm's completion callbacks do.
+    // Two fan-out requests per tick, each capturing this + peer + a
+    // deadline, as the real swarm's completion callbacks do.
     for (int k = 0; k < 2; ++k) {
       const auto delay =
           SimTime::millis(static_cast<std::int64_t>(rng_.below(400)) + 10);
@@ -184,16 +100,10 @@ class Workload {
   static constexpr SimTime kPeriod = SimTime::millis(100);
 
   WorkloadSpec spec_;
-  EngineT engine_;
+  peerscope::sim::Engine engine_;
   Rng rng_;
   std::vector<std::uint64_t> state_;
 };
-
-void print_row(const char* name, const WorkloadResult& result) {
-  std::printf("  %-14s %12llu %9.3f %14.0f\n", name,
-              static_cast<unsigned long long>(result.events), result.wall_s,
-              result.events_per_s());
-}
 
 }  // namespace
 
@@ -214,30 +124,16 @@ int main() {
       "%.0fs horizon)\n",
       cfg.full_scale ? "paper-true Asian-peak swarm" : "reference spec",
       spec.peers, spec.horizon.seconds());
-  std::printf("  %-14s %12s %9s %14s\n", "scheduler", "events", "wall_s",
-              "events/s");
 
-  // Legacy first, current second, so the numbers the JSON session
-  // captures (events executed + wall) describe the shipping engine.
-  Workload<LegacyEngine> legacy{spec};
-  const WorkloadResult before = legacy.run();
-  print_row("legacy-heap", before);
-
-  WorkloadResult after;
+  WorkloadResult result;
   {
     bench::BenchJsonSession json{"bench_micro_engine"};
-    Workload<sim::Engine> current{spec};
-    after = current.run();
+    Workload workload{spec};
+    result = workload.run();
   }
-  print_row("calendar-soa", after);
-
-  const double speedup =
-      before.events_per_s() > 0 ? after.events_per_s() / before.events_per_s()
-                                : 0.0;
-  const bool identical = before.events == after.events;
-  std::printf("  speedup: %.2fx  %s (engine-rework gate: >=5x)\n", speedup,
-              speedup >= 5.0 ? "[ok]" : "[LOW]");
-  std::printf("  identical event counts: %s\n",
-              identical ? "[ok]" : "[FAIL]");
-  return identical ? 0 : 1;
+  std::printf("  %12s %9s %14s\n", "events", "wall_s", "events/s");
+  std::printf("  %12llu %9.3f %14.0f\n",
+              static_cast<unsigned long long>(result.events), result.wall_s,
+              result.events_per_s());
+  return 0;
 }

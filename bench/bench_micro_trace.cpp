@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <unistd.h>
 
-#include "trace/io.hpp"
+#include "trace/binary_format.hpp"
 #include "trace/pcap.hpp"
 #include "trace/sink.hpp"
 #include "util/rng.hpp"
@@ -58,10 +58,11 @@ void BM_TraceWrite(benchmark::State& state) {
   const auto records = synth(static_cast<std::size_t>(state.range(0)));
   const auto path = scratch_file("w.psct");
   for (auto _ : state) {
-    trace::write_trace(path, net::Ipv4Addr{10, 0, 0, 1}, records);
+    trace::write_trace_binary(path, net::Ipv4Addr{10, 0, 0, 1}, records);
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 19);
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(std::filesystem::file_size(path)));
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_TraceWrite)->Arg(100'000);
@@ -69,9 +70,9 @@ BENCHMARK(BM_TraceWrite)->Arg(100'000);
 void BM_TraceReadAndRebuild(benchmark::State& state) {
   const auto records = synth(static_cast<std::size_t>(state.range(0)));
   const auto path = scratch_file("r.psct");
-  trace::write_trace(path, net::Ipv4Addr{10, 0, 0, 1}, records);
+  trace::write_trace_binary(path, net::Ipv4Addr{10, 0, 0, 1}, records);
   for (auto _ : state) {
-    const auto file = trace::read_trace(path);
+    const auto file = trace::read_trace_binary(path);
     const auto table =
         trace::FlowTable::from_records(file.probe, file.records);
     benchmark::DoNotOptimize(table.total_rx_bytes());

@@ -122,8 +122,11 @@ int main(int argc, char** argv) {
     return util::TextTable::num(v, p);
   };
   auto row = [&](const std::string& label, double a, double b, int p = 1) {
-    table.add_row({label, num(a, p), num(b, p),
-                   (b >= a ? "+" : "") + num(b - a, p)});
+    // Appends, not "literal" + std::string: GCC 12 at -O3 reports a
+    // false -Werror=restrict on the operator+ form.
+    std::string change = b >= a ? "+" : "";
+    change += num(b - a, p);
+    table.add_row({label, num(a, p), num(b, p), change});
   };
   row("intra-AS download bytes %", base.intra_as_bytes_pct,
       next.intra_as_bytes_pct);

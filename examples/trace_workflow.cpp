@@ -1,6 +1,6 @@
 // The full downstream-user trace workflow:
 //   1. run a (small) experiment capturing raw packet records;
-//   2. export every probe's capture as .psct (native), .csv and .pcap
+//   2. export every probe's capture as PSBT .psct (native), .csv and .pcap
 //      (wireshark/tcpdump-compatible);
 //   3. reload the native traces from disk;
 //   4. re-run the complete black-box analysis offline and verify it
@@ -18,6 +18,7 @@
 #include "exp/runner.hpp"
 #include "exp/testbed.hpp"
 #include "net/topology.hpp"
+#include "trace/binary_format.hpp"
 #include "trace/io.hpp"
 #include "trace/pcap.hpp"
 #include "util/table.hpp"
@@ -51,8 +52,8 @@ int main(int argc, char** argv) {
     const auto label = population.probe_specs()[i].label();
     auto records = swarm.sink(i).records();
     std::sort(records.begin(), records.end(), trace::record_before);
-    trace::write_trace(dir / (label + ".psct"), swarm.sink(i).probe(),
-                       records);
+    trace::write_trace_binary(dir / (label + ".psct"), swarm.sink(i).probe(),
+                              records);
     trace::write_trace_csv(dir / (label + ".csv"), swarm.sink(i).probe(),
                            records);
     trace::write_pcap(dir / (label + ".pcap"), swarm.sink(i).probe(),
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
     const auto label = population.probe_specs()[i].label();
     const trace::TraceFile file =
-        trace::read_trace(dir / (label + ".psct"));
+        trace::read_trace_binary(dir / (label + ".psct"));
     const auto& info = population.peer(population.probe_ids()[i]);
     offline.probes.push_back({file.probe, info.ep.as, info.ep.country,
                               info.access.is_high_bandwidth(), label});

@@ -1,12 +1,9 @@
 #include "exp/capture.hpp"
 
-#include <cstring>
-
 #include "aware/observation.hpp"
 #include "exp/metadata.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/flow.hpp"
-#include "trace/io.hpp"
 #include "util/io_faults.hpp"
 
 namespace peerscope::exp {
@@ -16,16 +13,6 @@ namespace {
 [[noreturn]] void bad_capture(const std::filesystem::path& dir,
                               const std::string& what) {
   throw CaptureError("capture " + dir.string() + ": " + what);
-}
-
-/// True when `buf` leads with the PSBT magic: captures may mix
-/// classic and binary traces per probe, so ingestion sniffs each
-/// file rather than trusting a directory-wide convention.
-[[nodiscard]] bool is_binary_trace(const std::string& buf) {
-  std::uint32_t magic = 0;
-  if (buf.size() < sizeof magic) return false;
-  std::memcpy(&magic, buf.data(), sizeof magic);
-  return magic == trace::kBinaryTraceMagic;
 }
 
 }  // namespace
@@ -77,7 +64,7 @@ CaptureLoad load_capture(const std::filesystem::path& dir, bool salvage) {
         load.data.per_probe.emplace_back();
         continue;
       }
-      trace::SalvageReport report;
+      util::SalvageReport report;
       const auto buf = util::io::read_file(path);
       if (!buf) {
         ++load.probes_lost;
@@ -86,9 +73,7 @@ CaptureLoad load_capture(const std::filesystem::path& dir, bool salvage) {
         load.data.per_probe.emplace_back();
         continue;
       }
-      file = is_binary_trace(*buf)
-                 ? trace::parse_trace_binary_salvage(*buf, &report)
-                 : trace::parse_trace_salvage(*buf, &report);
+      file = trace::parse_trace_binary_salvage(*buf, &report);
       if (!report.clean()) {
         load.records_skipped += report.records_skipped;
         load.notes.push_back(
@@ -107,14 +92,7 @@ CaptureLoad load_capture(const std::filesystem::path& dir, bool salvage) {
                              "to analyze what survived");
       }
       try {
-        const auto buf = util::io::read_file(path);
-        if (!buf) {
-          throw std::runtime_error("read_trace: cannot open " +
-                                   path.string());
-        }
-        file = is_binary_trace(*buf)
-                   ? trace::parse_trace_binary(*buf, path.string())
-                   : trace::parse_trace(*buf, path.string());
+        file = trace::read_trace_binary(path);
       } catch (const std::exception& error) {
         bad_capture(dir, std::string{error.what()} +
                              " — rerun with --salvage to analyze what "

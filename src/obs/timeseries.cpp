@@ -6,9 +6,11 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
+#include "util/framing.hpp"
 #include "util/io_faults.hpp"
 
 namespace peerscope::obs {
@@ -346,71 +348,76 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
 
 void write_series(const std::filesystem::path& path,
                   const SeriesSnapshot& snapshot) {
-  std::vector<std::string> payloads;
-  payloads.emplace_back(kSeriesSchema);
+  std::uint64_t count = 1;  // the schema record
+  for (const auto& [run, data] : snapshot.runs) {
+    count += data.intervals.size();
+  }
+  std::string buf;
+  util::framing::FrameEncoder encoder{series_format(), buf, count};
+  encoder.append(kSeriesSchema);
   for (const auto& [run, data] : snapshot.runs) {
     for (const SeriesInterval& interval : data.intervals) {
-      payloads.push_back(encode_interval(run, data.interval_ns, interval));
+      encoder.append(encode_interval(run, data.interval_ns, interval));
     }
   }
-  const std::string buf = util::framing::encode_frames(
-      series_format(), payloads, util::framing::kDefaultSyncInterval);
   util::write_file_atomic(path, buf);
   PEERSCOPE_METRIC_INC("obs.series.files_written");
 }
+
+namespace {
+
+/// Fills `snapshot` from a decode: one schema record (`saw_schema`
+/// records it; a second is rejected), every other payload an interval.
+util::framing::FrameVisitor series_reader(SeriesSnapshot& snapshot,
+                                          bool& saw_schema) {
+  return {.payload = [&snapshot, &saw_schema](std::string_view payload) {
+    if (payload == kSeriesSchema) {
+      return !std::exchange(saw_schema, true);
+    }
+    return decode_interval(payload, snapshot);
+  }};
+}
+
+}  // namespace
 
 SeriesSnapshot read_series(const std::filesystem::path& path) {
   const auto buf = util::io::read_file(path);
   if (!buf) {
     throw std::runtime_error("read_series: cannot open " + path.string());
   }
-  const auto payloads =
-      util::framing::decode_frames(series_format(), *buf, path.string());
-  if (payloads.empty() || payloads.front() != kSeriesSchema) {
+  SeriesSnapshot snapshot;
+  bool saw_schema = false;
+  util::framing::decode_frames(series_format(), *buf,
+                               series_reader(snapshot, saw_schema),
+                               path.string());
+  if (!saw_schema) {
     throw std::runtime_error("read_series: missing " +
                              std::string{kSeriesSchema} + " header in " +
                              path.string());
-  }
-  SeriesSnapshot snapshot;
-  for (std::size_t i = 1; i < payloads.size(); ++i) {
-    if (!decode_interval(payloads[i], snapshot)) {
-      throw std::runtime_error("read_series: corrupt interval record " +
-                               std::to_string(i) + " in " + path.string());
-    }
   }
   PEERSCOPE_METRIC_INC("obs.series.files_read");
   return snapshot;
 }
 
 SeriesSnapshot read_series_salvage(const std::filesystem::path& path,
-                                   SeriesSalvageReport* report) {
-  SeriesSalvageReport local;
-  SeriesSalvageReport& rep = report ? *report : local;
-  rep = SeriesSalvageReport{};
+                                   util::SalvageReport* report) {
+  util::SalvageReport local;
+  util::SalvageReport& rep = report ? *report : local;
+  rep = util::SalvageReport{};
   const auto buf = util::io::read_file(path);
   if (!buf) {
     throw std::runtime_error("read_series_salvage: cannot open " +
                              path.string());
   }
-  const auto payloads = util::framing::decode_frames_salvage(
-      series_format(), *buf, &rep.framing);
   SeriesSnapshot snapshot;
-  std::uint64_t recovered = 0;
-  for (const std::string& payload : payloads) {
-    if (payload == kSeriesSchema) continue;  // the header record
-    if (decode_interval(payload, snapshot)) {
-      ++recovered;
-    } else {
-      // Frame CRC held but the fields are garbage: the writer was fed
-      // a bad row. The boundary survives, only this interval is lost.
-      ++rep.payloads_skipped;
-    }
-  }
+  bool saw_schema = false;
+  util::framing::decode_frames_salvage(
+      series_format(), *buf, series_reader(snapshot, saw_schema), rep);
   if (obs::enabled()) {
     obs::counter("obs.series.files_read").add();
-    obs::counter("obs.series.records_salvaged").add(recovered);
-    obs::counter("obs.series.records_dropped")
-        .add(rep.framing.records_dropped + rep.payloads_skipped);
+    obs::counter("obs.series.records_salvaged")
+        .add(rep.records_recovered - (saw_schema ? 1 : 0));
+    obs::counter("obs.series.records_dropped").add(rep.records_skipped);
   }
   return snapshot;
 }

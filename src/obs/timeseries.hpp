@@ -15,9 +15,9 @@
 // relative quantile error at ~3%, values below 64 are exact, and the
 // sparse bucket list serializes compactly into the sidecar.
 //
-// Persistence is the `PSTS` binary sidecar: the generic CRC-32C
-// record framing of util/framing.hpp (PSBT's container, factored out
-// in this PR) around one self-contained text payload per interval,
+// Persistence is the `PSTS` binary sidecar: the CRC-32C record
+// framing of util/framing.hpp (the container PSBT traces use too)
+// around one self-contained text payload per interval,
 // written through util::write_file_atomic and read back through
 // util::io::read_file so storage fault injection covers it. A strict
 // reader throws on any damage; a salvage reader recovers everything
@@ -37,7 +37,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/framing.hpp"
+#include "util/salvage.hpp"
 #include "util/mutex.hpp"
 #include "util/sim_time.hpp"
 #include "util/thread_annotations.hpp"
@@ -166,15 +166,6 @@ inline constexpr std::uint32_t kSeriesMagic = 0x50535453;  // "PSTS"
 inline constexpr std::uint16_t kSeriesVersion = 1;
 inline constexpr const char* kSeriesSchema = "peerscope.series/1";
 
-/// Salvage accounting for a PSTS read: the framing layer's report
-/// plus payloads whose frames were intact but whose fields did not
-/// parse (skipped alone, like PSBT's CRC-valid-but-out-of-domain
-/// records).
-struct SeriesSalvageReport {
-  util::framing::FrameSalvageReport framing;
-  std::uint64_t payloads_skipped = 0;
-};
-
 /// Writes the PSTS sidecar (atomic + durable).
 void write_series(const std::filesystem::path& path,
                   const SeriesSnapshot& snapshot);
@@ -183,10 +174,12 @@ void write_series(const std::filesystem::path& path,
 [[nodiscard]] SeriesSnapshot read_series(const std::filesystem::path& path);
 
 /// Salvage reader: recovers every interval outside damaged regions.
-/// Only failure to open the file throws.
+/// An interval whose frame was intact but whose fields did not parse
+/// is counted in records_rejected and skipped alone. Only failure to
+/// open the file throws.
 [[nodiscard]] SeriesSnapshot read_series_salvage(
     const std::filesystem::path& path,
-    SeriesSalvageReport* report = nullptr);
+    util::SalvageReport* report = nullptr);
 
 /// `peerscope timeline` renderings: long-form CSV (one line per
 /// metric per interval) and a markdown table.

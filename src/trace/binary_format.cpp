@@ -1,35 +1,35 @@
 #include "trace/binary_format.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
-#include "util/crc32c.hpp"
 #include "util/io_faults.hpp"
 
 namespace peerscope::trace {
 
 namespace {
 
-constexpr std::size_t kHeaderSize = 28;
-constexpr std::size_t kSyncMarkerSize = 16;
-constexpr std::size_t kFrameOverhead = 8;  // payload_len + payload_crc
+// Record payload, 19 bytes little-endian: i64 ts_ns · u32 remote ·
+// i32 bytes · u8 dir · u8 kind · u8 ttl.
+constexpr std::uint32_t kRecordSize = 8 + 4 + 4 + 1 + 1 + 1;
 
-// Record payload: the same 19-byte little-endian packing as PSCT
-// (io.cpp), so a PSBT payload is a PSCT record with a checksum
-// wrapped around it.
-constexpr std::size_t kRecordSize = 8 + 4 + 4 + 1 + 1 + 1;
-static_assert(kRecordSize <= kMaxRecordLen);
+constexpr util::framing::FrameFormat kFormat{
+    .magic = kBinaryTraceMagic,
+    .version = kBinaryTraceVersion,
+    .max_record_len = kRecordSize,
+    .min_record_len = kRecordSize,
+    .header_ext_len = sizeof(std::uint32_t),  // the probe address
+};
 
 template <typename T>
-void put(std::string& buf, T value) {
+char* put(char* out, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  buf.append(bytes, sizeof(T));  // host is little-endian (x86/ARM64)
+  std::memcpy(out, &value, sizeof(T));  // host is little-endian
+  return out + sizeof(T);
 }
 
 template <typename T>
@@ -40,13 +40,13 @@ T get(const char*& ptr) {
   return value;
 }
 
-void pack_record(std::string& buf, const PacketRecord& r) {
-  put<std::int64_t>(buf, r.ts.ns());
-  put<std::uint32_t>(buf, r.remote.bits());
-  put<std::int32_t>(buf, r.bytes);
-  put<std::uint8_t>(buf, static_cast<std::uint8_t>(r.dir));
-  put<std::uint8_t>(buf, static_cast<std::uint8_t>(r.kind));
-  put<std::uint8_t>(buf, r.ttl);
+void pack_record(char* out, const PacketRecord& r) {
+  out = put<std::int64_t>(out, r.ts.ns());
+  out = put<std::uint32_t>(out, r.remote.bits());
+  out = put<std::int32_t>(out, r.bytes);
+  out = put<std::uint8_t>(out, static_cast<std::uint8_t>(r.dir));
+  out = put<std::uint8_t>(out, static_cast<std::uint8_t>(r.kind));
+  put<std::uint8_t>(out, r.ttl);
 }
 
 /// Decodes one CRC-valid payload. Returns false when a field is out
@@ -68,56 +68,29 @@ void pack_record(std::string& buf, const PacketRecord& r) {
   return true;
 }
 
-struct Header {
-  net::Ipv4Addr probe;
-  std::uint64_t count = 0;
-  std::uint32_t sync_interval = 0;
-};
-
-/// Parses and CRC-verifies the 28-byte header. Returns the failure
-/// reason, or empty on success.
-[[nodiscard]] std::string parse_header(std::string_view buf, Header& out) {
-  if (buf.size() < kHeaderSize) {
-    return "truncated header";
-  }
-  const char* ptr = buf.data();
-  if (get<std::uint32_t>(ptr) != kBinaryTraceMagic) {
-    return "bad magic";
-  }
-  if (const auto version = get<std::uint16_t>(ptr);
-      version != kBinaryTraceVersion) {
-    return "unsupported version " + std::to_string(version);
-  }
-  (void)get<std::uint16_t>(ptr);  // reserved
-  out.probe = net::Ipv4Addr{get<std::uint32_t>(ptr)};
-  out.count = get<std::uint64_t>(ptr);
-  out.sync_interval = get<std::uint32_t>(ptr);
-  const auto stored = get<std::uint32_t>(ptr);
-  if (stored != util::crc32c(buf.substr(0, kHeaderSize - 4))) {
-    return "header checksum mismatch";
-  }
-  return {};
+/// Fills `file` from a decode: the probe from the header extension,
+/// then one record per in-domain payload.
+util::framing::FrameVisitor record_reader(TraceFile& file) {
+  return {
+      .header =
+          [&file](const util::framing::FrameHeader& header) {
+            const char* ptr = header.ext.data();
+            file.probe = net::Ipv4Addr{get<std::uint32_t>(ptr)};
+            file.records.reserve(header.capacity);
+          },
+      .payload =
+          [&file](std::string_view payload) {
+            PacketRecord r;
+            if (!unpack_record(payload, r)) {
+              return false;
+            }
+            file.records.push_back(r);
+            return true;
+          },
+  };
 }
 
-/// True when the 16 bytes at `p` are a CRC-valid sync marker.
-[[nodiscard]] bool valid_sync_marker(std::string_view buf, std::size_t p,
-                                     std::uint64_t& index_out) {
-  if (buf.size() - p < kSyncMarkerSize) {
-    return false;
-  }
-  const char* ptr = buf.data() + p;
-  if (get<std::uint32_t>(ptr) != kSyncMarkerMagic) {
-    return false;
-  }
-  const std::uint64_t index = get<std::uint64_t>(ptr);
-  if (get<std::uint32_t>(ptr) != util::crc32c(buf.substr(p, 12))) {
-    return false;
-  }
-  index_out = index;
-  return true;
-}
-
-void count_salvage(const SalvageReport& rep, std::size_t bytes) {
+void count_salvage(const util::SalvageReport& rep, std::size_t bytes) {
   if (obs::enabled()) {
     obs::counter("trace.binary_files_read").add();
     obs::counter("trace.binary_records_salvaged").add(rep.records_recovered);
@@ -135,38 +108,22 @@ void write_trace_binary(const std::filesystem::path& path,
                         std::uint32_t sync_interval) {
   if (records.size() > std::numeric_limits<std::uint32_t>::max()) {
     // The u64 count field has room, but nothing downstream has been
-    // sized for more; fail loudly like write_trace rather than let a
-    // runaway writer fill the disk.
+    // sized for more; fail loudly rather than let a runaway writer
+    // fill the disk.
     throw std::length_error(
         "write_trace_binary: record count exceeds the supported 32-bit "
         "limit (" +
         std::to_string(records.size()) + " records)");
   }
+  char ext[sizeof(std::uint32_t)];
+  put<std::uint32_t>(ext, probe.bits());
   std::string buf;
-  buf.reserve(kHeaderSize + records.size() * (kFrameOverhead + kRecordSize));
-  put<std::uint32_t>(buf, kBinaryTraceMagic);
-  put<std::uint16_t>(buf, kBinaryTraceVersion);
-  put<std::uint16_t>(buf, 0);  // reserved
-  put<std::uint32_t>(buf, probe.bits());
-  put<std::uint64_t>(buf, records.size());
-  put<std::uint32_t>(buf, sync_interval);
-  put<std::uint32_t>(buf, util::crc32c(buf));
-
-  std::string payload;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (sync_interval > 0 && i > 0 && i % sync_interval == 0) {
-      const std::size_t marker_start = buf.size();
-      put<std::uint32_t>(buf, kSyncMarkerMagic);
-      put<std::uint64_t>(buf, static_cast<std::uint64_t>(i));
-      put<std::uint32_t>(
-          buf, util::crc32c(
-                   std::string_view(buf).substr(marker_start, 12)));
-    }
-    payload.clear();
-    pack_record(payload, records[i]);
-    put<std::uint32_t>(buf, static_cast<std::uint32_t>(payload.size()));
-    put<std::uint32_t>(buf, util::crc32c(payload));
-    buf.append(payload);
+  util::framing::FrameEncoder encoder{kFormat, buf, records.size(),
+                                      sync_interval, {ext, sizeof ext}};
+  char payload[kRecordSize];
+  for (const PacketRecord& r : records) {
+    pack_record(payload, r);
+    encoder.append({payload, kRecordSize});
   }
 
   util::write_file_atomic(path, buf);
@@ -179,55 +136,8 @@ void write_trace_binary(const std::filesystem::path& path,
 
 TraceFile parse_trace_binary(std::string_view buf,
                              const std::string& origin) {
-  Header header;
-  if (const std::string err = parse_header(buf, header); !err.empty()) {
-    throw std::runtime_error("read_trace_binary: " + err + " in " + origin);
-  }
   TraceFile file;
-  file.probe = header.probe;
-  file.records.reserve(static_cast<std::size_t>(header.count));
-  std::size_t pos = kHeaderSize;
-  for (std::uint64_t i = 0; i < header.count; ++i) {
-    if (header.sync_interval > 0 && i > 0 &&
-        i % header.sync_interval == 0) {
-      std::uint64_t index = 0;
-      if (!valid_sync_marker(buf, pos, index) || index != i) {
-        throw std::runtime_error(
-            "read_trace_binary: bad sync marker before record " +
-            std::to_string(i) + " in " + origin);
-      }
-      pos += kSyncMarkerSize;
-    }
-    if (buf.size() - pos < kFrameOverhead) {
-      throw std::runtime_error("read_trace_binary: truncated at record " +
-                               std::to_string(i) + " in " + origin);
-    }
-    const char* ptr = buf.data() + pos;
-    const auto len = get<std::uint32_t>(ptr);
-    const auto crc = get<std::uint32_t>(ptr);
-    if (len != kRecordSize || buf.size() - pos - kFrameOverhead < len) {
-      throw std::runtime_error("read_trace_binary: corrupt frame at record " +
-                               std::to_string(i) + " in " + origin);
-    }
-    const std::string_view payload = buf.substr(pos + kFrameOverhead, len);
-    if (crc != util::crc32c(payload)) {
-      throw std::runtime_error(
-          "read_trace_binary: checksum mismatch at record " +
-          std::to_string(i) + " in " + origin);
-    }
-    PacketRecord r;
-    if (!unpack_record(payload, r)) {
-      throw std::runtime_error("read_trace_binary: corrupt record " +
-                               std::to_string(i) + " in " + origin);
-    }
-    file.records.push_back(r);
-    pos += kFrameOverhead + len;
-  }
-  if (pos != buf.size()) {
-    throw std::runtime_error(
-        "read_trace_binary: trailing garbage after declared records in " +
-        origin);
-  }
+  util::framing::decode_frames(kFormat, buf, record_reader(file), origin);
   if (obs::enabled()) {
     obs::counter("trace.binary_files_read").add();
     obs::counter("trace.records_read").add(file.records.size());
@@ -237,144 +147,12 @@ TraceFile parse_trace_binary(std::string_view buf,
 }
 
 TraceFile parse_trace_binary_salvage(std::string_view buf,
-                                     SalvageReport* report) {
-  SalvageReport local;
-  SalvageReport& rep = report ? *report : local;
-  rep = SalvageReport{};
-
+                                     util::SalvageReport* report) {
+  util::SalvageReport local;
+  util::SalvageReport& rep = report ? *report : local;
   TraceFile file;
-  Header header;
-  if (const std::string err = parse_header(buf, header); !err.empty()) {
-    rep.bytes_discarded = buf.size();
-    rep.note = err;
-    count_salvage(rep, buf.size());
-    return file;
-  }
-  rep.header_valid = true;
-  file.probe = header.probe;
-  file.records.reserve(static_cast<std::size_t>(header.count));
-
-  // `seen` counts stream positions consumed (recovered or dropped);
-  // the invariant recovered + dropped == declared holds on exit.
-  // `marker_due` is the index of the next sync marker the writer will
-  // have emitted — tracked explicitly so that resyncing *to* a marker
-  // does not leave the loop expecting that same marker again.
-  std::uint64_t seen = 0;
-  std::uint64_t marker_due =
-      header.sync_interval > 0 ? header.sync_interval : 0;
-  std::size_t pos = kHeaderSize;
-  bool damaged = false;  // in a poisoned region, looking for a marker
-
-  while (seen < header.count) {
-    if (damaged) {
-      // Resync: scan byte-by-byte for a CRC-valid marker whose index
-      // both advances the stream and lands on the writer's cadence.
-      const std::size_t scan_start = pos;
-      std::size_t found = std::string_view::npos;
-      std::uint64_t found_index = 0;
-      for (std::size_t p = pos; p + kSyncMarkerSize <= buf.size(); ++p) {
-        std::uint64_t index = 0;
-        if (valid_sync_marker(buf, p, index) && index > seen &&
-            index <= header.count && header.sync_interval > 0 &&
-            index % header.sync_interval == 0) {
-          found = p;
-          found_index = index;
-          break;
-        }
-      }
-      if (found == std::string_view::npos) {
-        rep.bytes_discarded += buf.size() - scan_start;
-        rep.records_skipped += header.count - seen;
-        rep.truncated = true;
-        if (rep.note.empty()) {
-          rep.note = "no sync marker after corrupt frame";
-        }
-        seen = header.count;
-        break;
-      }
-      rep.bytes_discarded += found - scan_start;
-      rep.records_skipped += found_index - seen;
-      seen = found_index;
-      marker_due = found_index + header.sync_interval;
-      pos = found + kSyncMarkerSize;
-      damaged = false;
-      continue;
-    }
-
-    if (header.sync_interval > 0 && seen > 0 && seen == marker_due) {
-      std::uint64_t index = 0;
-      if (!valid_sync_marker(buf, pos, index) || index != seen) {
-        if (rep.note.empty()) {
-          rep.note = "bad sync marker before record " + std::to_string(seen);
-        }
-        damaged = true;
-        continue;
-      }
-      marker_due += header.sync_interval;
-      pos += kSyncMarkerSize;
-    }
-
-    if (buf.size() - pos < kFrameOverhead) {
-      rep.bytes_discarded += buf.size() - pos;
-      rep.records_skipped += header.count - seen;
-      rep.truncated = true;
-      if (rep.note.empty()) {
-        rep.note = "file ends " + std::to_string(header.count - seen) +
-                   " records short of the declared count";
-      }
-      seen = header.count;
-      break;
-    }
-    const char* ptr = buf.data() + pos;
-    const auto len = get<std::uint32_t>(ptr);
-    const auto crc = get<std::uint32_t>(ptr);
-    if (len != kRecordSize) {
-      if (rep.note.empty()) {
-        rep.note = "corrupt frame length at record " + std::to_string(seen);
-      }
-      damaged = true;
-      continue;
-    }
-    if (buf.size() - pos - kFrameOverhead < len) {
-      rep.bytes_discarded += buf.size() - pos;
-      rep.records_skipped += header.count - seen;
-      rep.truncated = true;
-      if (rep.note.empty()) {
-        rep.note = "file ends mid-record at index " + std::to_string(seen);
-      }
-      seen = header.count;
-      break;
-    }
-    const std::string_view payload = buf.substr(pos + kFrameOverhead, len);
-    if (crc != util::crc32c(payload)) {
-      if (rep.note.empty()) {
-        rep.note = "checksum mismatch at record " + std::to_string(seen);
-      }
-      damaged = true;
-      continue;
-    }
-    PacketRecord r;
-    if (unpack_record(payload, r)) {
-      file.records.push_back(r);
-    } else {
-      // CRC-valid but out-of-domain: the frame boundary is intact, so
-      // only this record is lost.
-      ++rep.records_skipped;
-      if (rep.note.empty()) {
-        rep.note = "corrupt record at index " + std::to_string(seen);
-      }
-    }
-    ++seen;
-    pos += kFrameOverhead + len;
-  }
-
-  if (!rep.truncated && pos < buf.size()) {
-    rep.bytes_discarded += buf.size() - pos;
-    if (rep.note.empty()) {
-      rep.note = "trailing garbage after declared records";
-    }
-  }
-  rep.records_recovered = file.records.size();
+  util::framing::decode_frames_salvage(kFormat, buf, record_reader(file),
+                                       rep);
   count_salvage(rep, buf.size());
   return file;
 }
@@ -389,7 +167,7 @@ TraceFile read_trace_binary(const std::filesystem::path& path) {
 }
 
 TraceFile read_trace_binary_salvage(const std::filesystem::path& path,
-                                    SalvageReport* report) {
+                                    util::SalvageReport* report) {
   const auto buf = util::io::read_file(path);
   if (!buf) {
     throw std::runtime_error("read_trace_binary_salvage: cannot open " +

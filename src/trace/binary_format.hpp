@@ -1,40 +1,15 @@
-// Record-framed checksummed binary trace format ("PSBT").
+// Record-framed checksummed binary trace format ("PSBT"), the native
+// trace format `peerscope run` writes and `analyze` reads.
 //
-// The classic PSCT format (io.hpp) relies on fixed-size records to
-// keep boundaries recoverable, but it cannot *detect* corruption — a
-// flipped bit inside a plausible field reads back as data. PSBT is
-// the self-validating successor and the substrate for the roadmap's
-// out-of-core >140M-packet analysis: every record carries its own
-// CRC-32C, periodic sync markers let a salvage reader resynchronise
-// past damaged regions, and the layout is position-independent so a
-// reader can parse straight out of an mmap'd view (parse_* functions
-// take a string_view; nothing needs the whole file copied or seeked).
-//
-// Layout (little-endian throughout, DESIGN.md §15):
-//
-//   header (28 bytes):
-//     u32 magic      0x50534254 "PSBT"
-//     u16 version    1
-//     u16 reserved   0
-//     u32 probe      IPv4 of the capturing probe
-//     u64 record_count
-//     u32 sync_interval   records between sync markers (0 = none)
-//     u32 header_crc      CRC-32C over the preceding 24 bytes
-//
-//   stream: records, with a sync marker before record i whenever
-//   i % sync_interval == 0 (i > 0):
-//     record frame:  u32 payload_len · u32 payload_crc · payload
-//     sync marker:   u32 0x53594e43 "SYNC" · u64 record_index ·
-//                    u32 marker_crc (CRC-32C over the preceding 12)
-//
-// Salvage semantics: a frame whose length is implausible or whose CRC
-// fails poisons the stream until the next verifiable sync marker; the
-// marker's record_index says exactly how many records the damaged
-// region swallowed, so every drop is accounted, never guessed. A
-// CRC-valid frame with out-of-domain field values is skipped alone
-// (the boundary survives). Recovered + dropped always reconciles
-// against the header's declared count when the header itself is
-// intact.
+// PSBT is a util::framing container (layout and salvage semantics in
+// util/framing.hpp, DESIGN.md §15): its 4-byte header extension is the
+// capturing probe's IPv4 address, and every frame is exactly one
+// 19-byte record — a frame of any other length is damage. Every record
+// carries its own CRC-32C and periodic sync markers let a salvage
+// reader resynchronise past damaged regions. A CRC-valid record with
+// out-of-domain field values is skipped alone. The parse_* functions
+// take a string_view, so a reader can parse straight out of an mmap'd
+// view.
 #pragma once
 
 #include <cstdint>
@@ -46,28 +21,20 @@
 #include "net/ipv4.hpp"
 #include "trace/io.hpp"
 #include "trace/record.hpp"
-#include "trace/salvage.hpp"
+#include "util/framing.hpp"
+#include "util/salvage.hpp"
 
 namespace peerscope::trace {
 
 inline constexpr std::uint32_t kBinaryTraceMagic = 0x50534254;  // "PSBT"
 inline constexpr std::uint16_t kBinaryTraceVersion = 1;
-inline constexpr std::uint32_t kSyncMarkerMagic = 0x53594e43;  // "SYNC"
-inline constexpr std::uint32_t kDefaultSyncInterval = 256;
 
-/// Frames longer than this are treated as corruption, not data; it
-/// also keeps a flipped length bit from sending the reader gigabytes
-/// ahead. v1 records are 19 bytes — the headroom is format evolution.
-inline constexpr std::uint32_t kMaxRecordLen = 4096;
-
-/// Writes one probe's records in PSBT framing (atomic + durable, like
-/// write_trace). `sync_interval` of 0 disables sync markers — legal,
-/// but a corrupt record then costs the rest of the file in salvage.
+/// Writes one probe's records in PSBT framing (atomic + durable).
 /// Throws std::length_error on absurd record counts.
-void write_trace_binary(const std::filesystem::path& path,
-                        net::Ipv4Addr probe,
-                        const std::vector<PacketRecord>& records,
-                        std::uint32_t sync_interval = kDefaultSyncInterval);
+void write_trace_binary(
+    const std::filesystem::path& path, net::Ipv4Addr probe,
+    const std::vector<PacketRecord>& records,
+    std::uint32_t sync_interval = util::framing::kDefaultSyncInterval);
 
 /// Strict reader: throws std::runtime_error on any malformation —
 /// bad magic/version/CRC, frame damage, truncation, count mismatch.
@@ -77,13 +44,13 @@ void write_trace_binary(const std::filesystem::path& path,
 /// resynchronising at sync markers, and accounts each drop in
 /// `report`. Only failure to open the file throws.
 [[nodiscard]] TraceFile read_trace_binary_salvage(
-    const std::filesystem::path& path, SalvageReport* report = nullptr);
+    const std::filesystem::path& path, util::SalvageReport* report = nullptr);
 
 /// Buffer-level parsers behind the readers above; `origin` names the
 /// source in error messages. These are the mmap-friendly entry points.
 [[nodiscard]] TraceFile parse_trace_binary(std::string_view buf,
                                            const std::string& origin);
 [[nodiscard]] TraceFile parse_trace_binary_salvage(
-    std::string_view buf, SalvageReport* report = nullptr);
+    std::string_view buf, util::SalvageReport* report = nullptr);
 
 }  // namespace peerscope::trace

@@ -1,223 +1,10 @@
 #include "trace/io.hpp"
 
-#include <array>
-#include <cstring>
-#include <limits>
 #include <sstream>
-#include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
-#include "util/io_faults.hpp"
 
 namespace peerscope::trace {
-
-namespace {
-
-// On-disk record layout (little-endian), 19 bytes packed:
-//   int64  ts_ns
-//   uint32 remote
-//   int32  bytes
-//   uint8  dir
-//   uint8  kind
-//   uint8  ttl
-constexpr std::size_t kRecordSize = 8 + 4 + 4 + 1 + 1 + 1;
-
-template <typename T>
-void put(std::string& buf, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  buf.append(bytes, sizeof(T));  // host is little-endian (x86/ARM64)
-}
-
-template <typename T>
-T get(const char*& ptr) {
-  T value;
-  std::memcpy(&value, ptr, sizeof(T));
-  ptr += sizeof(T);
-  return value;
-}
-
-}  // namespace
-
-void write_trace(const std::filesystem::path& path, net::Ipv4Addr probe,
-                 const std::vector<PacketRecord>& records) {
-  if (records.size() >
-      std::numeric_limits<std::uint32_t>::max()) {
-    // The header stores the count as uint32; writing more would
-    // silently truncate the trace on the next read.
-    throw std::length_error(
-        "write_trace: record count exceeds the format's 32-bit limit (" +
-        std::to_string(records.size()) + " records)");
-  }
-  std::string buf;
-  buf.reserve(16 + records.size() * kRecordSize);
-  put<std::uint32_t>(buf, kTraceMagic);
-  put<std::uint16_t>(buf, kTraceVersion);
-  put<std::uint16_t>(buf, 0);  // reserved
-  put<std::uint32_t>(buf, probe.bits());
-  put<std::uint32_t>(buf, static_cast<std::uint32_t>(records.size()));
-  for (const auto& r : records) {
-    put<std::int64_t>(buf, r.ts.ns());
-    put<std::uint32_t>(buf, r.remote.bits());
-    put<std::int32_t>(buf, r.bytes);
-    put<std::uint8_t>(buf, static_cast<std::uint8_t>(r.dir));
-    put<std::uint8_t>(buf, static_cast<std::uint8_t>(r.kind));
-    put<std::uint8_t>(buf, r.ttl);
-  }
-
-  // Atomic + durable: readers (and crash-resumed batches) only ever see
-  // a complete trace or no trace, never a torn one.
-  util::write_file_atomic(path, buf);
-  if (obs::enabled()) {
-    obs::counter("trace.files_written").add();
-    obs::counter("trace.records_written").add(records.size());
-    obs::counter("trace.bytes_written").add(buf.size());
-  }
-}
-
-TraceFile parse_trace(std::string_view buf, const std::string& origin) {
-  if (buf.size() < 16) {
-    throw std::runtime_error("read_trace: truncated header in " + origin);
-  }
-  const char* ptr = buf.data();
-  if (get<std::uint32_t>(ptr) != kTraceMagic) {
-    throw std::runtime_error("read_trace: bad magic in " + origin);
-  }
-  if (get<std::uint16_t>(ptr) != kTraceVersion) {
-    throw std::runtime_error("read_trace: unsupported version in " +
-                             origin);
-  }
-  (void)get<std::uint16_t>(ptr);  // reserved
-  TraceFile file;
-  file.probe = net::Ipv4Addr{get<std::uint32_t>(ptr)};
-  const auto count = get<std::uint32_t>(ptr);
-  if (buf.size() != 16 + static_cast<std::size_t>(count) * kRecordSize) {
-    throw std::runtime_error("read_trace: size mismatch in " + origin);
-  }
-  file.records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    PacketRecord r;
-    r.ts = util::SimTime{get<std::int64_t>(ptr)};
-    r.remote = net::Ipv4Addr{get<std::uint32_t>(ptr)};
-    r.bytes = get<std::int32_t>(ptr);
-    const auto dir = get<std::uint8_t>(ptr);
-    const auto kind = get<std::uint8_t>(ptr);
-    if (dir > 1 || kind > 1) {
-      throw std::runtime_error("read_trace: corrupt record in " +
-                               origin);
-    }
-    r.dir = static_cast<Direction>(dir);
-    r.kind = static_cast<sim::PacketKind>(kind);
-    r.ttl = get<std::uint8_t>(ptr);
-    file.records.push_back(r);
-  }
-  if (obs::enabled()) {
-    obs::counter("trace.files_read").add();
-    obs::counter("trace.records_read").add(file.records.size());
-    obs::counter("trace.bytes_read").add(buf.size());
-  }
-  return file;
-}
-
-TraceFile parse_trace_salvage(std::string_view buf,
-                              SalvageReport* report) {
-  SalvageReport local;
-  SalvageReport& rep = report ? *report : local;
-  rep = SalvageReport{};
-
-  TraceFile file;
-  if (buf.size() < 16) {
-    rep.bytes_discarded = buf.size();
-    rep.note = "truncated header";
-    return file;
-  }
-  const char* ptr = buf.data();
-  if (get<std::uint32_t>(ptr) != kTraceMagic) {
-    rep.bytes_discarded = buf.size();
-    rep.note = "bad magic";
-    return file;
-  }
-  if (const auto version = get<std::uint16_t>(ptr);
-      version != kTraceVersion) {
-    rep.bytes_discarded = buf.size();
-    rep.note = "unsupported version " + std::to_string(version);
-    return file;
-  }
-  (void)get<std::uint16_t>(ptr);  // reserved
-  rep.header_valid = true;
-  file.probe = net::Ipv4Addr{get<std::uint32_t>(ptr)};
-  const auto declared = get<std::uint32_t>(ptr);
-
-  // Fixed-size records mean boundaries survive field corruption: a bad
-  // record is skipped and parsing resynchronises at the next one.
-  const std::size_t payload = buf.size() - 16;
-  const std::size_t present = payload / kRecordSize;
-  const std::size_t usable = std::min<std::size_t>(declared, present);
-  if (present < declared) {
-    rep.truncated = true;
-    rep.bytes_discarded = payload - present * kRecordSize;
-    if (rep.note.empty()) {
-      rep.note = "file ends " +
-                 std::to_string(declared - present) +
-                 " records short of the declared count";
-    }
-  } else if (payload > static_cast<std::size_t>(declared) * kRecordSize) {
-    rep.bytes_discarded =
-        payload - static_cast<std::size_t>(declared) * kRecordSize;
-    rep.note = "trailing garbage after declared records";
-  }
-
-  file.records.reserve(usable);
-  for (std::size_t i = 0; i < usable; ++i) {
-    const char* rp = buf.data() + 16 + i * kRecordSize;
-    PacketRecord r;
-    r.ts = util::SimTime{get<std::int64_t>(rp)};
-    r.remote = net::Ipv4Addr{get<std::uint32_t>(rp)};
-    r.bytes = get<std::int32_t>(rp);
-    const auto dir = get<std::uint8_t>(rp);
-    const auto kind = get<std::uint8_t>(rp);
-    if (dir > 1 || kind > 1 || r.bytes < 0) {
-      ++rep.records_skipped;
-      if (rep.note.empty()) {
-        rep.note = "corrupt record at index " + std::to_string(i);
-      }
-      continue;
-    }
-    r.dir = static_cast<Direction>(dir);
-    r.kind = static_cast<sim::PacketKind>(kind);
-    r.ttl = get<std::uint8_t>(rp);
-    file.records.push_back(r);
-  }
-  rep.records_recovered = file.records.size();
-  if (obs::enabled()) {
-    obs::counter("trace.files_salvaged").add();
-    obs::counter("trace.records_salvaged").add(rep.records_recovered);
-    obs::counter("trace.records_skipped").add(rep.records_skipped);
-    obs::counter("trace.bytes_read").add(buf.size());
-    obs::counter("trace.bytes_discarded").add(rep.bytes_discarded);
-  }
-  return file;
-}
-
-TraceFile read_trace(const std::filesystem::path& path) {
-  const auto buf = util::io::read_file(path);
-  if (!buf) {
-    throw std::runtime_error("read_trace: cannot open " + path.string());
-  }
-  return parse_trace(*buf, path.string());
-}
-
-TraceFile read_trace_salvage(const std::filesystem::path& path,
-                             SalvageReport* report) {
-  const auto buf = util::io::read_file(path);
-  if (!buf) {
-    throw std::runtime_error("read_trace_salvage: cannot open " +
-                             path.string());
-  }
-  return parse_trace_salvage(*buf, report);
-}
 
 void write_trace_csv(const std::filesystem::path& path, net::Ipv4Addr probe,
                      const std::vector<PacketRecord>& records) {

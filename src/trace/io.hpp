@@ -1,58 +1,20 @@
-// Trace persistence.
-//
-// Binary format ("PSCT"): little-endian, fixed-size records, one file
-// per probe. A CSV exporter is provided for eyeballing traces with
-// standard tooling. Readers validate magic, version and record counts
-// and throw on any corruption — trace files are measurement data, not
-// best-effort input.
+// Trace files in memory, and the CSV exporter for eyeballing traces
+// with standard tooling. The on-disk format is PSBT
+// (binary_format.hpp); pcap (pcap.hpp) is the interop format.
 #pragma once
 
-#include <cstdint>
 #include <filesystem>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/ipv4.hpp"
 #include "trace/record.hpp"
-#include "trace/salvage.hpp"
 
 namespace peerscope::trace {
-
-inline constexpr std::uint32_t kTraceMagic = 0x50534354;  // "PSCT"
-inline constexpr std::uint16_t kTraceVersion = 1;
 
 struct TraceFile {
   net::Ipv4Addr probe;
   std::vector<PacketRecord> records;
 };
-
-/// Writes one probe's records. Overwrites an existing file. Throws
-/// std::length_error when `records` exceeds the format's 32-bit record
-/// count (a file that large would silently truncate on read).
-void write_trace(const std::filesystem::path& path, net::Ipv4Addr probe,
-                 const std::vector<PacketRecord>& records);
-
-/// Reads a trace file; throws std::runtime_error on malformed input.
-[[nodiscard]] TraceFile read_trace(const std::filesystem::path& path);
-
-/// Buffer-level parsers behind read_trace / read_trace_salvage, for
-/// callers that already hold the bytes (capture ingestion sniffs the
-/// magic and dispatches between PSCT and PSBT from one slurp).
-/// `origin` names the source in error messages.
-[[nodiscard]] TraceFile parse_trace(std::string_view buf,
-                                    const std::string& origin);
-[[nodiscard]] TraceFile parse_trace_salvage(std::string_view buf,
-                                            SalvageReport* report = nullptr);
-
-/// Salvage-mode reader: recovers every parseable record from a
-/// possibly-corrupt trace (truncated tail, bad records, trailing
-/// garbage) instead of throwing. Only failure to open the file throws.
-/// Fills `report` (if non-null) with what was recovered vs skipped; a
-/// clean file yields the same records as read_trace and a clean()
-/// report.
-[[nodiscard]] TraceFile read_trace_salvage(const std::filesystem::path& path,
-                                           SalvageReport* report = nullptr);
 
 /// CSV with header: ts_ns,remote,dir,kind,bytes,ttl
 void write_trace_csv(const std::filesystem::path& path, net::Ipv4Addr probe,

@@ -209,10 +209,10 @@ std::vector<PacketRecord> read_pcap(const std::filesystem::path& path,
 
 std::vector<PacketRecord> read_pcap_salvage(const std::filesystem::path& path,
                                             net::Ipv4Addr probe,
-                                            SalvageReport* report) {
-  SalvageReport local;
-  SalvageReport& rep = report ? *report : local;
-  rep = SalvageReport{};
+                                            util::SalvageReport* report) {
+  util::SalvageReport local;
+  util::SalvageReport& rep = report ? *report : local;
+  rep = util::SalvageReport{};
 
   const auto slurped = util::io::read_file(path);
   if (!slurped) {
@@ -269,6 +269,7 @@ std::vector<PacketRecord> read_pcap_salvage(const std::filesystem::path& path,
     p += incl;
     if (incl < 28 || (static_cast<std::uint8_t>(ip[0]) >> 4) != 4) {
       ++rep.records_skipped;  // headers unparseable or not IPv4
+      ++rep.records_rejected;
       if (rep.note.empty()) rep.note = "unparseable packet";
       continue;
     }
@@ -276,6 +277,7 @@ std::vector<PacketRecord> read_pcap_salvage(const std::filesystem::path& path,
       // Would alias to a negative/implausible byte count; the frame
       // boundary held, so only this record is lost.
       ++rep.records_skipped;
+      ++rep.records_rejected;
       if (rep.note.empty()) rep.note = "implausible original length";
       continue;
     }
@@ -301,6 +303,7 @@ std::vector<PacketRecord> read_pcap_salvage(const std::filesystem::path& path,
       // A sniffer on a shared segment records bystander traffic; it is
       // not part of this probe's view.
       ++rep.records_skipped;
+      ++rep.records_rejected;
       if (rep.note.empty()) rep.note = "packet does not involve probe";
       continue;
     }

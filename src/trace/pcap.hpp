@@ -10,7 +10,7 @@
 
 #include "net/ipv4.hpp"
 #include "trace/record.hpp"
-#include "trace/salvage.hpp"
+#include "util/salvage.hpp"
 
 namespace peerscope::trace {
 
@@ -40,7 +40,7 @@ void write_pcap(const std::filesystem::path& path, net::Ipv4Addr probe,
 /// prefix kept. Only failure to open the file throws.
 [[nodiscard]] std::vector<PacketRecord> read_pcap_salvage(
     const std::filesystem::path& path, net::Ipv4Addr probe,
-    SalvageReport* report = nullptr);
+    util::SalvageReport* report = nullptr);
 
 /// RFC 1071 checksum over a header (for tests and the writer).
 [[nodiscard]] std::uint16_t ipv4_header_checksum(

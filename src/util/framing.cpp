@@ -1,5 +1,6 @@
 #include "util/framing.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -10,7 +11,7 @@ namespace peerscope::util::framing {
 
 namespace {
 
-constexpr std::size_t kHeaderSize = 24;
+constexpr std::size_t kBaseHeaderSize = 24;  // header without the extension
 constexpr std::size_t kSyncMarkerSize = 16;
 constexpr std::size_t kFrameOverhead = 8;  // payload_len + payload_crc
 
@@ -30,16 +31,17 @@ T get(const char*& ptr) {
   return value;
 }
 
-struct Header {
-  std::uint64_t count = 0;
-  std::uint32_t sync_interval = 0;
-};
+[[nodiscard]] std::size_t header_size(const FrameFormat& format) {
+  return kBaseHeaderSize + format.header_ext_len;
+}
 
-/// Parses and CRC-verifies the 24-byte header against `format`.
-/// Returns the failure reason, or empty on success.
+/// Parses and CRC-verifies the header against `format`. Returns the
+/// failure reason, or empty on success.
 [[nodiscard]] std::string parse_header(const FrameFormat& format,
-                                       std::string_view buf, Header& out) {
-  if (buf.size() < kHeaderSize) {
+                                       std::string_view buf,
+                                       FrameHeader& out) {
+  const std::size_t size = header_size(format);
+  if (buf.size() < size) {
     return "truncated header";
   }
   const char* ptr = buf.data();
@@ -51,12 +53,17 @@ struct Header {
     return "unsupported version " + std::to_string(version);
   }
   (void)get<std::uint16_t>(ptr);  // reserved
-  out.count = get<std::uint64_t>(ptr);
+  out.ext = std::string_view{ptr, format.header_ext_len};
+  ptr += format.header_ext_len;
+  out.record_count = get<std::uint64_t>(ptr);
   out.sync_interval = get<std::uint32_t>(ptr);
   const auto stored = get<std::uint32_t>(ptr);
-  if (stored != crc32c(buf.substr(0, kHeaderSize - 4))) {
+  if (stored != crc32c(buf.substr(0, size - 4))) {
     return "header checksum mismatch";
   }
+  out.capacity = std::min<std::uint64_t>(
+      out.record_count,
+      (buf.size() - size) / (kFrameOverhead + format.min_record_len));
   return {};
 }
 
@@ -80,125 +87,91 @@ struct Header {
 
 }  // namespace
 
-std::string encode_frames(const FrameFormat& format,
-                          const std::vector<std::string>& payloads,
-                          std::uint32_t sync_interval) {
-  std::string buf;
-  std::size_t total = kHeaderSize;
-  for (const std::string& payload : payloads) {
-    total += kFrameOverhead + payload.size();
+FrameEncoder::FrameEncoder(const FrameFormat& format, std::string& out,
+                           std::uint64_t record_count,
+                           std::uint32_t sync_interval,
+                           std::string_view header_ext)
+    : format_(format),
+      out_(out),
+      record_count_(record_count),
+      sync_interval_(sync_interval) {
+  if (header_ext.size() != format.header_ext_len) {
+    throw std::invalid_argument(
+        "FrameEncoder: header extension is " +
+        std::to_string(header_ext.size()) + " bytes, format wants " +
+        std::to_string(format.header_ext_len));
   }
-  buf.reserve(total);
-  put<std::uint32_t>(buf, format.magic);
-  put<std::uint16_t>(buf, format.version);
-  put<std::uint16_t>(buf, 0);  // reserved
-  put<std::uint64_t>(buf, payloads.size());
-  put<std::uint32_t>(buf, sync_interval);
-  put<std::uint32_t>(buf, crc32c(buf));
-
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    const std::string& payload = payloads[i];
-    if (payload.size() > format.max_record_len) {
-      throw std::length_error(
-          "encode_frames: payload " + std::to_string(i) + " is " +
-          std::to_string(payload.size()) + " bytes, limit " +
-          std::to_string(format.max_record_len));
-    }
-    if (sync_interval > 0 && i > 0 && i % sync_interval == 0) {
-      const std::size_t marker_start = buf.size();
-      put<std::uint32_t>(buf, kSyncMagic);
-      put<std::uint64_t>(buf, static_cast<std::uint64_t>(i));
-      put<std::uint32_t>(
-          buf, crc32c(std::string_view(buf).substr(marker_start, 12)));
-    }
-    put<std::uint32_t>(buf, static_cast<std::uint32_t>(payload.size()));
-    put<std::uint32_t>(buf, crc32c(payload));
-    buf.append(payload);
+  if (format.min_record_len == format.max_record_len) {
+    const std::uint64_t markers =
+        sync_interval > 0 && record_count > 0
+            ? (record_count - 1) / sync_interval
+            : 0;
+    out.reserve(out.size() + header_size(format) +
+                record_count * (kFrameOverhead + format.max_record_len) +
+                markers * kSyncMarkerSize);
   }
-  return buf;
+  const std::size_t start = out.size();
+  put<std::uint32_t>(out, format.magic);
+  put<std::uint16_t>(out, format.version);
+  put<std::uint16_t>(out, 0);  // reserved
+  out.append(header_ext);
+  put<std::uint64_t>(out, record_count);
+  put<std::uint32_t>(out, sync_interval);
+  put<std::uint32_t>(out, crc32c(std::string_view{out}.substr(start)));
 }
 
-std::vector<std::string> decode_frames(const FrameFormat& format,
-                                       std::string_view buf,
-                                       const std::string& origin) {
-  Header header;
-  if (const std::string err = parse_header(format, buf, header);
-      !err.empty()) {
-    throw std::runtime_error("decode_frames: " + err + " in " + origin);
+void FrameEncoder::append(std::string_view payload) {
+  if (payload.size() < format_.min_record_len ||
+      payload.size() > format_.max_record_len) {
+    throw std::length_error(
+        "FrameEncoder: payload " + std::to_string(index_) + " is " +
+        std::to_string(payload.size()) + " bytes, allowed " +
+        std::to_string(format_.min_record_len) + ".." +
+        std::to_string(format_.max_record_len));
   }
-  std::vector<std::string> payloads;
-  payloads.reserve(static_cast<std::size_t>(header.count));
-  std::size_t pos = kHeaderSize;
-  for (std::uint64_t i = 0; i < header.count; ++i) {
-    if (header.sync_interval > 0 && i > 0 &&
-        i % header.sync_interval == 0) {
-      std::uint64_t index = 0;
-      if (!valid_sync_marker(buf, pos, index) || index != i) {
-        throw std::runtime_error(
-            "decode_frames: bad sync marker before record " +
-            std::to_string(i) + " in " + origin);
-      }
-      pos += kSyncMarkerSize;
-    }
-    if (buf.size() - pos < kFrameOverhead) {
-      throw std::runtime_error("decode_frames: truncated at record " +
-                               std::to_string(i) + " in " + origin);
-    }
-    const char* ptr = buf.data() + pos;
-    const auto len = get<std::uint32_t>(ptr);
-    const auto crc = get<std::uint32_t>(ptr);
-    if (len > format.max_record_len ||
-        buf.size() - pos - kFrameOverhead < len) {
-      throw std::runtime_error("decode_frames: corrupt frame at record " +
-                               std::to_string(i) + " in " + origin);
-    }
-    const std::string_view payload = buf.substr(pos + kFrameOverhead, len);
-    if (crc != crc32c(payload)) {
-      throw std::runtime_error(
-          "decode_frames: checksum mismatch at record " + std::to_string(i) +
-          " in " + origin);
-    }
-    payloads.emplace_back(payload);
-    pos += kFrameOverhead + len;
+  if (index_ == record_count_) {
+    throw std::logic_error("FrameEncoder: more payloads than the " +
+                           std::to_string(record_count_) + " declared");
   }
-  if (pos != buf.size()) {
-    throw std::runtime_error(
-        "decode_frames: trailing garbage after declared records in " +
-        origin);
+  if (sync_interval_ > 0 && index_ > 0 && index_ % sync_interval_ == 0) {
+    const std::size_t marker_start = out_.size();
+    put<std::uint32_t>(out_, kSyncMagic);
+    put<std::uint64_t>(out_, index_);
+    put<std::uint32_t>(
+        out_, crc32c(std::string_view{out_}.substr(marker_start, 12)));
   }
-  return payloads;
+  put<std::uint32_t>(out_, static_cast<std::uint32_t>(payload.size()));
+  put<std::uint32_t>(out_, crc32c(payload));
+  out_.append(payload);
+  ++index_;
 }
 
-std::vector<std::string> decode_frames_salvage(const FrameFormat& format,
-                                               std::string_view buf,
-                                               FrameSalvageReport* report) {
-  FrameSalvageReport local;
-  FrameSalvageReport& rep = report ? *report : local;
-  rep = FrameSalvageReport{};
+void decode_frames_salvage(const FrameFormat& format, std::string_view buf,
+                           const FrameVisitor& visit, SalvageReport& rep) {
+  rep = SalvageReport{};
 
-  std::vector<std::string> payloads;
-  Header header;
+  FrameHeader header;
   if (const std::string err = parse_header(format, buf, header);
       !err.empty()) {
     rep.bytes_discarded = buf.size();
     rep.note = err;
-    return payloads;
+    return;
   }
   rep.header_valid = true;
-  payloads.reserve(static_cast<std::size_t>(header.count));
+  visit.header(header);
 
-  // `seen` counts stream positions consumed (recovered or dropped);
-  // the invariant recovered + dropped == declared holds on exit.
+  // `seen` counts stream positions consumed (recovered or skipped);
+  // the invariant recovered + skipped == declared holds on exit.
   // `marker_due` is the index of the next sync marker the writer will
   // have emitted — tracked explicitly so that resyncing *to* a marker
   // does not leave the loop expecting that same marker again.
   std::uint64_t seen = 0;
   std::uint64_t marker_due =
       header.sync_interval > 0 ? header.sync_interval : 0;
-  std::size_t pos = kHeaderSize;
+  std::size_t pos = header_size(format);
   bool damaged = false;  // in a poisoned region, looking for a marker
 
-  while (seen < header.count) {
+  while (seen < header.record_count) {
     if (damaged) {
       // Resync: scan byte-by-byte for a CRC-valid marker whose index
       // both advances the stream and lands on the writer's cadence.
@@ -208,7 +181,7 @@ std::vector<std::string> decode_frames_salvage(const FrameFormat& format,
       for (std::size_t p = pos; p + kSyncMarkerSize <= buf.size(); ++p) {
         std::uint64_t index = 0;
         if (valid_sync_marker(buf, p, index) && index > seen &&
-            index <= header.count && header.sync_interval > 0 &&
+            index <= header.record_count && header.sync_interval > 0 &&
             index % header.sync_interval == 0) {
           found = p;
           found_index = index;
@@ -217,16 +190,16 @@ std::vector<std::string> decode_frames_salvage(const FrameFormat& format,
       }
       if (found == std::string_view::npos) {
         rep.bytes_discarded += buf.size() - scan_start;
-        rep.records_dropped += header.count - seen;
+        rep.records_skipped += header.record_count - seen;
         rep.truncated = true;
         if (rep.note.empty()) {
           rep.note = "no sync marker after corrupt frame";
         }
-        seen = header.count;
+        seen = header.record_count;
         break;
       }
       rep.bytes_discarded += found - scan_start;
-      rep.records_dropped += found_index - seen;
+      rep.records_skipped += found_index - seen;
       seen = found_index;
       marker_due = found_index + header.sync_interval;
       pos = found + kSyncMarkerSize;
@@ -249,19 +222,19 @@ std::vector<std::string> decode_frames_salvage(const FrameFormat& format,
 
     if (buf.size() - pos < kFrameOverhead) {
       rep.bytes_discarded += buf.size() - pos;
-      rep.records_dropped += header.count - seen;
+      rep.records_skipped += header.record_count - seen;
       rep.truncated = true;
       if (rep.note.empty()) {
-        rep.note = "file ends " + std::to_string(header.count - seen) +
+        rep.note = "file ends " + std::to_string(header.record_count - seen) +
                    " records short of the declared count";
       }
-      seen = header.count;
+      seen = header.record_count;
       break;
     }
     const char* ptr = buf.data() + pos;
     const auto len = get<std::uint32_t>(ptr);
     const auto crc = get<std::uint32_t>(ptr);
-    if (len > format.max_record_len) {
+    if (len < format.min_record_len || len > format.max_record_len) {
       if (rep.note.empty()) {
         rep.note = "corrupt frame length at record " + std::to_string(seen);
       }
@@ -270,12 +243,12 @@ std::vector<std::string> decode_frames_salvage(const FrameFormat& format,
     }
     if (buf.size() - pos - kFrameOverhead < len) {
       rep.bytes_discarded += buf.size() - pos;
-      rep.records_dropped += header.count - seen;
+      rep.records_skipped += header.record_count - seen;
       rep.truncated = true;
       if (rep.note.empty()) {
         rep.note = "file ends mid-record at index " + std::to_string(seen);
       }
-      seen = header.count;
+      seen = header.record_count;
       break;
     }
     const std::string_view payload = buf.substr(pos + kFrameOverhead, len);
@@ -286,7 +259,17 @@ std::vector<std::string> decode_frames_salvage(const FrameFormat& format,
       damaged = true;
       continue;
     }
-    payloads.emplace_back(payload);
+    if (visit.payload(payload)) {
+      ++rep.records_recovered;
+    } else {
+      // CRC-valid but out of domain: the frame boundary is intact, so
+      // only this record is lost.
+      ++rep.records_skipped;
+      ++rep.records_rejected;
+      if (rep.note.empty()) {
+        rep.note = "corrupt record at index " + std::to_string(seen);
+      }
+    }
     ++seen;
     pos += kFrameOverhead + len;
   }
@@ -297,8 +280,15 @@ std::vector<std::string> decode_frames_salvage(const FrameFormat& format,
       rep.note = "trailing garbage after declared records";
     }
   }
-  rep.records_recovered = payloads.size();
-  return payloads;
+}
+
+void decode_frames(const FrameFormat& format, std::string_view buf,
+                   const FrameVisitor& visit, const std::string& origin) {
+  SalvageReport report;
+  decode_frames_salvage(format, buf, visit, report);
+  if (!report.clean()) {
+    throw std::runtime_error(origin + ": " + report.note);
+  }
 }
 
 }  // namespace peerscope::util::framing

@@ -1,24 +1,22 @@
-// Generic CRC-32C record framing with sync-marker resynchronisation.
-//
-// The PSBT binary trace format (trace/binary_format.hpp) proved the
-// layout: every record carries its own checksum, periodic sync markers
-// let a salvage reader step past damaged regions, and recovered +
-// dropped always reconciles against the header's declared count. This
-// header factors the *container* out of that format so other sidecars
-// — first the PSTS time-series file (obs/timeseries.hpp) — get the
-// same self-validating properties without re-deriving the resync
-// machinery. PSBT itself keeps its bespoke encoder (its header carries
-// a probe address this generic one does not).
+// CRC-32C record framing with sync-marker resynchronisation: the one
+// checksummed container behind the PSBT trace files
+// (trace/binary_format.hpp) and the PSTS time-series sidecar
+// (obs/timeseries.hpp). Every record carries its own checksum,
+// periodic sync markers let a salvage reader step past damaged
+// regions, and recovered + skipped always reconciles against the
+// header's declared count.
 //
 // Layout (little-endian throughout):
 //
-//   header (24 bytes):
+//   header (24 + header_ext_len bytes):
 //     u32 magic          caller-chosen container magic
 //     u16 version        caller-chosen format version
 //     u16 reserved       0
+//     ext                header_ext_len caller bytes (PSBT: u32 probe
+//                        address; PSTS: none)
 //     u64 record_count
 //     u32 sync_interval  records between sync markers (0 = none)
-//     u32 header_crc     CRC-32C over the preceding 20 bytes
+//     u32 header_crc     CRC-32C over every preceding header byte
 //
 //   stream: records, with a sync marker before record i whenever
 //   i % sync_interval == 0 (i > 0):
@@ -26,19 +24,23 @@
 //     sync marker:   u32 0x53594e43 "SYNC" · u64 record_index ·
 //                    u32 marker_crc (CRC-32C over the preceding 12)
 //
-// Salvage semantics match PSBT: a frame whose length is implausible or
-// whose CRC fails poisons the stream until the next verifiable sync
-// marker, and the marker's record_index accounts exactly how many
-// records the damaged region swallowed. These functions are
-// buffer-level only — callers persist through util::write_file_atomic
-// and read back through util::io::read_file so the io_faults shim
-// covers every byte.
+// Salvage semantics: a frame whose length is outside the format's
+// bounds or whose CRC fails poisons the stream until the next
+// verifiable sync marker, and the marker's record_index accounts
+// exactly how many records the damaged region swallowed. A CRC-valid
+// payload the caller rejects as out of domain is skipped alone (its
+// boundary survives). The strict decoder is the same loop, throwing
+// unless the report comes back clean. These functions are buffer-level
+// only — callers persist through util::write_file_atomic and read back
+// through util::io::read_file so the io_faults shim covers every byte.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "util/salvage.hpp"
 
 namespace peerscope::util::framing {
 
@@ -53,41 +55,75 @@ struct FrameFormat {
   /// keeps a flipped length bit from sending the reader gigabytes
   /// ahead.
   std::uint32_t max_record_len = 4096;
+  /// Frames shorter than this are corruption too; a fixed-size record
+  /// format sets both bounds to its record size.
+  std::uint32_t min_record_len = 0;
+  /// Bytes of per-file caller data between the reserved u16 and
+  /// record_count.
+  std::uint32_t header_ext_len = 0;
 };
 
-/// Salvage accounting: recovered + dropped reconciles against the
-/// header's declared count whenever the header itself was intact.
-struct FrameSalvageReport {
-  bool header_valid = false;
-  std::uint64_t records_recovered = 0;
-  std::uint64_t records_dropped = 0;
-  std::uint64_t bytes_discarded = 0;
-  /// The stream ended before the declared record count was reached.
-  bool truncated = false;
-  /// First anomaly seen, for diagnostics; empty on a clean file.
-  std::string note;
+/// Appends one framed stream to a caller-owned buffer: the header on
+/// construction, then per append() the sync marker due (if any) and
+/// the payload's frame. Nothing is allocated per record beyond `out`'s
+/// own growth, and a fixed-size format reserves the whole stream up
+/// front.
+class FrameEncoder {
+ public:
+  /// Throws std::invalid_argument unless `header_ext` is exactly
+  /// format.header_ext_len bytes. `sync_interval` of 0 disables sync
+  /// markers — legal, but a corrupt record then costs the rest of the
+  /// stream in salvage.
+  FrameEncoder(const FrameFormat& format, std::string& out,
+               std::uint64_t record_count,
+               std::uint32_t sync_interval = kDefaultSyncInterval,
+               std::string_view header_ext = {});
+
+  /// Throws std::length_error when the payload's length is outside the
+  /// format's bounds, and std::logic_error past the declared count.
+  void append(std::string_view payload);
+
+ private:
+  FrameFormat format_;
+  std::string& out_;
+  std::uint64_t record_count_;
+  std::uint32_t sync_interval_;
+  std::uint64_t index_ = 0;
 };
 
-/// Serializes header + framed payloads. Throws std::length_error when
-/// a payload exceeds format.max_record_len. `sync_interval` of 0
-/// disables sync markers — legal, but a corrupt record then costs the
-/// rest of the file in salvage.
-[[nodiscard]] std::string encode_frames(
-    const FrameFormat& format, const std::vector<std::string>& payloads,
-    std::uint32_t sync_interval = kDefaultSyncInterval);
+/// A verified header, handed to the visitor before any payload.
+struct FrameHeader {
+  /// The format's header_ext_len extension bytes.
+  std::string_view ext;
+  std::uint64_t record_count = 0;
+  std::uint32_t sync_interval = 0;
+  /// record_count capped at the frames the buffer can physically hold:
+  /// the most a reader should reserve, whatever a crafted header
+  /// declares.
+  std::uint64_t capacity = 0;
+};
 
-/// Strict decoder: throws std::runtime_error naming `origin` on any
-/// malformation — bad magic/version/CRC, frame damage, truncation,
-/// count mismatch, trailing garbage.
-[[nodiscard]] std::vector<std::string> decode_frames(
-    const FrameFormat& format, std::string_view buf,
-    const std::string& origin);
+struct FrameVisitor {
+  /// Called once with the verified header; not called when the header
+  /// is unusable.
+  std::function<void(const FrameHeader&)> header = [](const FrameHeader&) {};
+  /// Called with every CRC-valid payload, in stream order. Returns
+  /// false when the payload is out of domain: it is then counted in
+  /// records_rejected and skipped alone.
+  std::function<bool(std::string_view)> payload;
+};
 
-/// Salvage decoder: recovers every payload outside damaged regions,
+/// The one decode loop: visits every payload outside damaged regions,
 /// resynchronising at sync markers, and accounts each drop in
-/// `report`. Never throws.
-[[nodiscard]] std::vector<std::string> decode_frames_salvage(
-    const FrameFormat& format, std::string_view buf,
-    FrameSalvageReport* report = nullptr);
+/// `report`. Throws only what the visitor throws.
+void decode_frames_salvage(const FrameFormat& format, std::string_view buf,
+                           const FrameVisitor& visit, SalvageReport& report);
+
+/// Strict decoder: decode_frames_salvage, then throws
+/// std::runtime_error naming `origin` unless the report is clean — bad
+/// magic/version/CRC, frame damage, a rejected payload, truncation or
+/// trailing garbage.
+void decode_frames(const FrameFormat& format, std::string_view buf,
+                   const FrameVisitor& visit, const std::string& origin);
 
 }  // namespace peerscope::util::framing

@@ -27,7 +27,6 @@
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
 #include "trace/binary_format.hpp"
-#include "trace/io.hpp"
 #include "trace/pcap.hpp"
 #include "util/io_faults.hpp"
 
@@ -102,15 +101,6 @@ const WriterCell kWriters[] = {
      [](const std::filesystem::path& p,
         const std::vector<trace::PacketRecord>& r) {
        return trace::read_trace_binary(p).records.size() == r.size();
-     }},
-    {"classic-trace",
-     [](const std::filesystem::path& p,
-        const std::vector<trace::PacketRecord>& r) {
-       trace::write_trace(p, Ipv4Addr{0x0a000001}, r);
-     },
-     [](const std::filesystem::path& p,
-        const std::vector<trace::PacketRecord>& r) {
-       return trace::read_trace(p).records.size() == r.size();
      }},
     {"pcap",
      [](const std::filesystem::path& p,
@@ -191,7 +181,7 @@ TEST_F(ChaosMatrixTest, BitflipsAreCaughtOnReadWithExactAccounting) {
     }
 
     // Salvage: never throws, and the ledger reconciles exactly.
-    trace::SalvageReport rep;
+    util::SalvageReport rep;
     const trace::TraceFile got = trace::read_trace_binary_salvage(path, &rep);
     ASSERT_TRUE(rep.header_valid || got.records.empty()) << cell;
     if (rep.header_valid) {
@@ -208,8 +198,6 @@ TEST_F(ChaosMatrixTest, ShortReadsNeverYieldSilentlyTruncatedData) {
   const auto records = chaos_records(300);
   const auto path = dir_ / "short_read.psct";
   trace::write_trace_binary(path, Ipv4Addr{0x0a000001}, records, 32);
-  const auto classic = dir_ / "short_read_classic.psct";
-  trace::write_trace(classic, Ipv4Addr{0x0a000001}, records);
 
   for (const char* spec : {"short-read@100", "short-read", "eintr@4"}) {
     const std::string cell = std::string{"binary x "} + spec;
@@ -222,22 +210,13 @@ TEST_F(ChaosMatrixTest, ShortReadsNeverYieldSilentlyTruncatedData) {
     }
 
     util::io::install_faults(FaultPlan::parse(spec));
-    trace::SalvageReport rep;
+    util::SalvageReport rep;
     const auto got = trace::read_trace_binary_salvage(path, &rep);
     EXPECT_EQ(got.records.size(), rep.records_recovered) << cell;
     if (rep.header_valid) {
       EXPECT_EQ(rep.records_recovered + rep.records_skipped,
                 records.size())
           << cell;
-    }
-
-    const std::string classic_cell = std::string{"classic x "} + spec;
-    util::io::install_faults(FaultPlan::parse(spec));
-    try {
-      const auto strict = trace::read_trace(classic);
-      EXPECT_EQ(strict.records.size(), records.size()) << classic_cell;
-    } catch (const std::runtime_error&) {
-      // Documented outcome.
     }
   }
 }
@@ -300,7 +279,7 @@ TEST_F(ChaosMatrixTest, RandomSingleFlipSweepAlwaysReconciles) {
     std::string buf = clean;
     buf[bit / 8] ^= static_cast<char>(1u << (bit % 8));
 
-    trace::SalvageReport rep;
+    util::SalvageReport rep;
     const trace::TraceFile got =
         trace::parse_trace_binary_salvage(buf, &rep);
     const std::string cell = "flip bit " + std::to_string(bit);

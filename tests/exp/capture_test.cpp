@@ -7,7 +7,7 @@
 #include <unistd.h>
 
 #include "exp/metadata.hpp"
-#include "trace/io.hpp"
+#include "trace/binary_format.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -56,7 +56,7 @@ class CaptureTest : public ::testing::Test {
   void write_capture() {
     const auto meta = sample_meta();
     for (const auto& probe : meta.probes) {
-      trace::write_trace(
+      trace::write_trace_binary(
           dir_ / ExperimentMetadata::trace_filename(probe.label),
           probe.addr, sample_records());
     }

@@ -11,7 +11,7 @@
 #include "exp/runner.hpp"
 #include "exp/testbed.hpp"
 #include "p2p/swarm.hpp"
-#include "trace/io.hpp"
+#include "trace/binary_format.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -190,8 +190,9 @@ TEST(OfflinePath, TraceFilesReproduceOnlineAnalysis) {
   const auto& pop = swarm.population();
   for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
     const auto path = dir / ("probe" + std::to_string(i) + ".psct");
-    trace::write_trace(path, swarm.sink(i).probe(), swarm.sink(i).records());
-    const trace::TraceFile file = trace::read_trace(path);
+    trace::write_trace_binary(path, swarm.sink(i).probe(),
+                              swarm.sink(i).records());
+    const trace::TraceFile file = trace::read_trace_binary(path);
     const trace::FlowTable flows =
         trace::FlowTable::from_records(file.probe, file.records);
     offline.per_probe.push_back(aware::extract_observations(

@@ -22,6 +22,7 @@
 #include <string>
 #include <system_error>
 #include <tuple>
+#include <unistd.h>
 #include <vector>
 
 namespace peerscope::lint {
@@ -632,12 +633,14 @@ TEST(Fingerprint, EveryFindingCarriesOne) {
 class BaselineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            "peerscope_lint_baseline_test.txt";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("peerscope_lint_baseline_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+    path_ = dir_ / "baseline.txt";
   }
   void TearDown() override {
     std::error_code ec;
-    std::filesystem::remove(path_, ec);
+    std::filesystem::remove_all(dir_, ec);
   }
 
   void write_baseline(const std::string& content) {
@@ -655,6 +658,7 @@ class BaselineTest : public ::testing::Test {
     return run(options);
   }
 
+  std::filesystem::path dir_;
   std::filesystem::path path_;
 };
 

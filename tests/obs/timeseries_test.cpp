@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
 #include <vector>
+
+#include "util/crc32c.hpp"
 
 namespace peerscope::obs {
 namespace {
@@ -209,10 +212,10 @@ TEST_F(TimeseriesFileTest, StrictReaderThrowsOnCorruptionSalvageRecovers) {
 
   EXPECT_THROW((void)read_series(path), std::runtime_error);
 
-  SeriesSalvageReport report;
+  util::SalvageReport report;
   const SeriesSnapshot salvaged = read_series_salvage(path, &report);
-  EXPECT_TRUE(report.framing.header_valid);
-  EXPECT_GT(report.framing.records_dropped + report.payloads_skipped, 0u);
+  EXPECT_TRUE(report.header_valid);
+  EXPECT_GT(report.records_skipped, 0u);
   // The undamaged intervals survive.
   EXPECT_FALSE(salvaged.runs.empty());
 }
@@ -222,9 +225,44 @@ TEST_F(TimeseriesFileTest, ReadersRejectMissingAndForeignFiles) {
   const auto path = dir_ / "foreign.psts";
   std::ofstream{path} << "this is not a PSTS file at all";
   EXPECT_THROW((void)read_series(path), std::runtime_error);
-  SeriesSalvageReport report;
+  util::SalvageReport report;
   EXPECT_TRUE(read_series_salvage(path, &report).runs.empty());
-  EXPECT_FALSE(report.framing.header_valid);
+  EXPECT_FALSE(report.header_valid);
+
+  // A CRC-valid header declaring 2^40 records over an empty body: the
+  // count is accounted for, never allocated for.
+  write_series(path, SeriesSnapshot{});
+  std::string header;
+  {
+    std::ifstream in{path, std::ios::binary};
+    header.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  header.resize(24);
+  const std::uint64_t declared = std::uint64_t{1} << 40;
+  std::memcpy(&header[8], &declared, sizeof declared);
+  const std::uint32_t crc =
+      util::crc32c(std::string_view{header}.substr(0, 20));
+  std::memcpy(&header[20], &crc, sizeof crc);
+  std::ofstream{path, std::ios::binary | std::ios::trunc} << header;
+  EXPECT_THROW((void)read_series(path), std::runtime_error);
+  EXPECT_TRUE(read_series_salvage(path, &report).runs.empty());
+  EXPECT_TRUE(report.header_valid);
+  EXPECT_TRUE(report.truncated);
+  EXPECT_EQ(report.records_recovered, 0u);
+  EXPECT_EQ(report.records_skipped, declared);
+}
+
+// Pinned encoded bytes (size + CRC-32C) of a fixed snapshot: any change
+// to the PSTS on-disk format fails here.
+TEST_F(TimeseriesFileTest, EncodedBytesMatchTheGolden) {
+  const auto path = dir_ / "golden.psts";
+  write_series(path, sample_snapshot());
+  std::ifstream in{path, std::ios::binary};
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(bytes.size(), 968u);
+  EXPECT_EQ(util::crc32c(bytes), 0x34fd2453u);
 }
 
 TEST(Timeseries, RecorderSanitizesKeysAndKeepsIntervalsSorted) {

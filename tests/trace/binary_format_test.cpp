@@ -19,6 +19,8 @@
 namespace peerscope::trace {
 namespace {
 
+using util::SalvageReport;
+
 constexpr std::size_t kHeaderSize = 28;
 constexpr std::size_t kMarkerSize = 16;
 constexpr std::size_t kFrameSize = 8 + 19;  // len + crc + payload
@@ -126,6 +128,30 @@ TEST_F(BinaryFormatTest, ZeroIntervalWritesNoMarkers) {
   write_trace_binary(path, net::Ipv4Addr{1}, make_records(10), 0);
   EXPECT_EQ(slurp(path).size(), kHeaderSize + 10 * kFrameSize);
   expect_equal(make_records(10), read_trace_binary(path).records);
+}
+
+// Pinned encoded bytes (size + CRC-32C) of fixed inputs: any change to
+// the PSBT on-disk format fails here.
+TEST_F(BinaryFormatTest, EncodedBytesMatchTheGoldens) {
+  struct Golden {
+    std::uint32_t interval;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  for (const Golden& golden : {Golden{0, 16228, 0x5d9547cd},
+                               Golden{4, 18612, 0x52bfaf6f},
+                               Golden{256, 16260, 0x1624cf5d}}) {
+    const auto path = dir_ / "golden.psct";
+    write_trace_binary(path, net::Ipv4Addr{0x0afe0001}, make_records(600),
+                       golden.interval);
+    const std::string bytes = slurp(path);
+    EXPECT_EQ(bytes.size(), golden.size) << golden.interval;
+    EXPECT_EQ(util::crc32c(bytes), golden.crc) << golden.interval;
+  }
+  const auto empty = dir_ / "golden_empty.psct";
+  write_trace_binary(empty, net::Ipv4Addr{0x0afe0001}, {});
+  EXPECT_EQ(slurp(empty).size(), kHeaderSize);
+  EXPECT_EQ(util::crc32c(slurp(empty)), 0x48674bc7u);
 }
 
 // --- strict reader ----------------------------------------------------
@@ -291,6 +317,21 @@ TEST_F(BinaryFormatTest, TruncationMidRecordIsAccounted) {
   EXPECT_EQ(rep.records_skipped, 15u);
   EXPECT_EQ(rep.bytes_discarded, 12u);  // the dangling partial frame
   EXPECT_EQ(got.records.size(), 25u);
+
+  // A CRC-valid header declaring 2^40 records over an empty body: the
+  // count is accounted for, never allocated for.
+  std::string huge = clean.substr(0, kHeaderSize);
+  const std::uint64_t declared = std::uint64_t{1} << 40;
+  std::memcpy(&huge[12], &declared, sizeof declared);
+  const std::uint32_t crc =
+      util::crc32c(std::string_view{huge}.substr(0, kHeaderSize - 4));
+  std::memcpy(&huge[kHeaderSize - 4], &crc, sizeof crc);
+  EXPECT_THROW((void)parse_trace_binary(huge, "t"), std::runtime_error);
+  EXPECT_TRUE(parse_trace_binary_salvage(huge, &rep).records.empty());
+  EXPECT_TRUE(rep.header_valid);
+  EXPECT_TRUE(rep.truncated);
+  EXPECT_EQ(rep.records_recovered, 0u);
+  EXPECT_EQ(rep.records_skipped, declared);
 }
 
 TEST_F(BinaryFormatTest, UnusableHeaderSalvagesNothing) {

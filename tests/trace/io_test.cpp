@@ -1,10 +1,16 @@
+// Trace files through the public readers and writers: PSBT round trips,
+// strict rejection of damaged files, and the CSV exporter.
 #include "trace/io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
+
+#include "trace/binary_format.hpp"
+#include "util/crc32c.hpp"
 
 namespace peerscope::trace {
 namespace {
@@ -44,9 +50,9 @@ TEST_F(TraceIoTest, BinaryRoundTrip) {
   const Ipv4Addr probe{10, 0, 0, 1};
   const auto records = sample_records();
   const auto path = dir_ / "probe.psct";
-  write_trace(path, probe, records);
+  write_trace_binary(path, probe, records);
 
-  const TraceFile loaded = read_trace(path);
+  const TraceFile loaded = read_trace_binary(path);
   EXPECT_EQ(loaded.probe, probe);
   ASSERT_EQ(loaded.records.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -61,14 +67,14 @@ TEST_F(TraceIoTest, BinaryRoundTrip) {
 
 TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
   const auto path = dir_ / "empty.psct";
-  write_trace(path, Ipv4Addr{1, 2, 3, 4}, {});
-  const TraceFile loaded = read_trace(path);
+  write_trace_binary(path, Ipv4Addr{1, 2, 3, 4}, {});
+  const TraceFile loaded = read_trace_binary(path);
   EXPECT_EQ(loaded.probe, (Ipv4Addr{1, 2, 3, 4}));
   EXPECT_TRUE(loaded.records.empty());
 }
 
 TEST_F(TraceIoTest, MissingFileThrows) {
-  EXPECT_THROW((void)read_trace(dir_ / "nonexistent.psct"),
+  EXPECT_THROW((void)read_trace_binary(dir_ / "nonexistent.psct"),
                std::runtime_error);
 }
 
@@ -76,37 +82,41 @@ TEST_F(TraceIoTest, BadMagicThrows) {
   const auto path = dir_ / "bad.psct";
   // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
   std::ofstream(path) << "this is not a trace file at all, not even close";
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(TraceIoTest, TruncatedHeaderThrows) {
   const auto path = dir_ / "short.psct";
   // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
   std::ofstream(path) << "abc";
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(TraceIoTest, TruncatedBodyThrows) {
   const auto path = dir_ / "truncated.psct";
-  write_trace(path, Ipv4Addr{1, 2, 3, 4}, sample_records());
+  write_trace_binary(path, Ipv4Addr{1, 2, 3, 4}, sample_records());
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 5);
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(TraceIoTest, CorruptEnumThrows) {
   const auto path = dir_ / "corrupt.psct";
-  std::vector<PacketRecord> records = sample_records();
-  write_trace(path, Ipv4Addr{1, 2, 3, 4}, records);
-  // Flip the first record's direction byte (offset: 16 header + 8 ts +
-  // 4 remote + 4 bytes = 32) to an invalid value.
-  // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(32);
-  const char bad = 9;
-  f.write(&bad, 1);
-  f.close();
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  write_trace_binary(path, Ipv4Addr{1, 2, 3, 4}, sample_records());
+  std::ifstream in(path, std::ios::binary);
+  std::string buf{std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>()};
+  // Set the first record's direction byte to an invalid value and
+  // re-sign its frame (the payload follows the 28-byte header and the
+  // frame's length + CRC; dir follows ts 8 + remote 4 + bytes 4): the
+  // checksum passes, the field check must still refuse it.
+  constexpr std::size_t kPayload = 28 + 8;
+  buf[kPayload + 16] = 9;
+  const std::uint32_t crc =
+      util::crc32c(std::string_view{buf}.substr(kPayload, 19));
+  std::memcpy(&buf[kPayload - 4], &crc, sizeof crc);
+  EXPECT_THROW((void)parse_trace_binary(buf, path.string()),
+               std::runtime_error);
 }
 
 TEST_F(TraceIoTest, CsvExport) {

@@ -1,20 +1,23 @@
 // Trace-corruption tests: the strict readers must throw on every
-// corruption class; the salvage readers must never throw, recover the
-// valid prefix (resynchronising past bad records), and account exactly
-// for what was lost.
+// corruption class; the salvage readers must never throw, recover
+// every record outside the damage, and account exactly for what was
+// lost.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
 
-#include "trace/io.hpp"
+#include "trace/binary_format.hpp"
 #include "trace/pcap.hpp"
+#include "util/crc32c.hpp"
 
 namespace peerscope::trace {
 namespace {
 
 using net::Ipv4Addr;
+using util::SalvageReport;
 using util::SimTime;
 
 class SalvageTest : public ::testing::Test {
@@ -53,19 +56,44 @@ void patch_byte(const std::filesystem::path& path, std::streamoff offset,
   f.write(&value, 1);
 }
 
-// 16-byte header: magic(4) version(2) reserved(2) probe(4) count(4),
-// then 19-byte records: ts(8) remote(4) bytes(4) dir(1) kind(1) ttl(1).
-constexpr std::streamoff kRecordSize = 19;
-constexpr std::streamoff kFirstDirOffset = 16 + 8 + 4 + 4;
+// PSBT: 28-byte header, then 27-byte frames (len 4 · crc 4 · payload
+// ts(8) remote(4) bytes(4) dir(1) kind(1) ttl(1)). 50 records stay
+// under the default sync interval, so no marker sits between frames.
+constexpr std::streamoff kHeaderSize = 28;
+constexpr std::streamoff kFrameSize = 27;
+constexpr std::streamoff kPayloadSize = 19;
+constexpr std::streamoff kBytesSignOffset = 8 + 4 + 3;
+constexpr std::streamoff kDirOffset = 8 + 4 + 4;
+
+/// Sets byte `offset` of record `index`'s payload to `value` and
+/// re-signs the frame, so the checksum passes and only the reader's
+/// field validation can catch the damage.
+void patch_payload(const std::filesystem::path& path, std::streamoff index,
+                   std::streamoff offset, char value) {
+  const std::streamoff frame = kHeaderSize + index * kFrameSize;
+  // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  char payload[kPayloadSize];
+  f.seekg(frame + 8);
+  f.read(payload, kPayloadSize);
+  payload[offset] = value;
+  const std::uint32_t crc = util::crc32c({payload, kPayloadSize});
+  char crc_bytes[sizeof crc];
+  std::memcpy(crc_bytes, &crc, sizeof crc);
+  f.seekp(frame + 4);
+  f.write(crc_bytes, sizeof crc_bytes);
+  f.write(payload, kPayloadSize);
+}
 
 TEST_F(SalvageTest, CleanFileMatchesStrictReader) {
   const auto path = dir_ / "clean.psct";
   const auto records = sample_records();
-  write_trace(path, Ipv4Addr{10, 0, 0, 1}, records);
+  write_trace_binary(path, Ipv4Addr{10, 0, 0, 1}, records);
 
   SalvageReport report;
-  const TraceFile salvaged = read_trace_salvage(path, &report);
-  const TraceFile strict = read_trace(path);
+  const TraceFile salvaged = read_trace_binary_salvage(path, &report);
+  const TraceFile strict = read_trace_binary(path);
 
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.records_recovered, records.size());
@@ -79,117 +107,118 @@ TEST_F(SalvageTest, CleanFileMatchesStrictReader) {
 
 TEST_F(SalvageTest, NullReportIsAccepted) {
   const auto path = dir_ / "noreport.psct";
-  write_trace(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
-  EXPECT_EQ(read_trace_salvage(path).records.size(), 50u);
+  write_trace_binary(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
+  EXPECT_EQ(read_trace_binary_salvage(path).records.size(), 50u);
 }
 
 TEST_F(SalvageTest, MissingFileStillThrows) {
-  EXPECT_THROW((void)read_trace_salvage(dir_ / "absent.psct"),
+  EXPECT_THROW((void)read_trace_binary_salvage(dir_ / "absent.psct"),
                std::runtime_error);
 }
 
 TEST_F(SalvageTest, TruncatedHeaderRecoversNothing) {
   const auto path = dir_ / "hdr.psct";
   // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
-  std::ofstream(path, std::ios::binary) << "PSC";
+  std::ofstream(path, std::ios::binary) << "PSB";
   SalvageReport report;
-  const TraceFile file = read_trace_salvage(path, &report);
+  const TraceFile file = read_trace_binary_salvage(path, &report);
   EXPECT_TRUE(file.records.empty());
   EXPECT_FALSE(report.header_valid);
   EXPECT_EQ(report.bytes_discarded, 3u);
   EXPECT_FALSE(report.clean());
   // Strict reader agrees this is fatal.
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(SalvageTest, BadMagicRecoversNothing) {
   const auto path = dir_ / "magic.psct";
-  write_trace(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
+  write_trace_binary(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
   patch_byte(path, 0, 'X');
   SalvageReport report;
-  const TraceFile file = read_trace_salvage(path, &report);
+  const TraceFile file = read_trace_binary_salvage(path, &report);
   EXPECT_TRUE(file.records.empty());
   EXPECT_FALSE(report.header_valid);
   EXPECT_EQ(report.bytes_discarded, std::filesystem::file_size(path));
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(SalvageTest, WrongVersionRecoversNothing) {
   const auto path = dir_ / "version.psct";
-  write_trace(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
+  write_trace_binary(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
   patch_byte(path, 4, 9);  // version field
   SalvageReport report;
-  const TraceFile file = read_trace_salvage(path, &report);
+  const TraceFile file = read_trace_binary_salvage(path, &report);
   EXPECT_TRUE(file.records.empty());
   EXPECT_FALSE(report.header_valid);
   EXPECT_NE(report.note.find("version"), std::string::npos);
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(SalvageTest, MidRecordTruncationKeepsValidPrefix) {
   const auto path = dir_ / "trunc.psct";
   const auto records = sample_records();
-  write_trace(path, Ipv4Addr{10, 0, 0, 1}, records);
+  write_trace_binary(path, Ipv4Addr{10, 0, 0, 1}, records);
   // Chop off the last record and a half.
   const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - kRecordSize - 7);
+  std::filesystem::resize_file(path, size - kFrameSize - 7);
 
   SalvageReport report;
-  const TraceFile file = read_trace_salvage(path, &report);
+  const TraceFile file = read_trace_binary_salvage(path, &report);
   ASSERT_EQ(file.records.size(), records.size() - 2);
   EXPECT_TRUE(report.header_valid);
   EXPECT_TRUE(report.truncated);
-  EXPECT_EQ(report.bytes_discarded, kRecordSize - 7u);
+  EXPECT_EQ(report.bytes_discarded, kFrameSize - 7u);
   EXPECT_EQ(file.records.back().ts, records[records.size() - 3].ts);
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(SalvageTest, CorruptRecordIsSkippedWithResync) {
   const auto path = dir_ / "badrec.psct";
   const auto records = sample_records();
-  write_trace(path, Ipv4Addr{10, 0, 0, 1}, records);
-  // Invalid direction byte in record 0 and record 3; fixed-size records
-  // let parsing resynchronise on the very next record.
-  patch_byte(path, kFirstDirOffset, 9);
-  patch_byte(path, kFirstDirOffset + 3 * kRecordSize, 9);
+  write_trace_binary(path, Ipv4Addr{10, 0, 0, 1}, records);
+  // Invalid direction byte in record 0 and record 3 under valid
+  // checksums; the frame boundaries hold, so parsing resumes at the
+  // very next record.
+  patch_payload(path, 0, kDirOffset, 9);
+  patch_payload(path, 3, kDirOffset, 9);
 
   SalvageReport report;
-  const TraceFile file = read_trace_salvage(path, &report);
+  const TraceFile file = read_trace_binary_salvage(path, &report);
   EXPECT_EQ(file.records.size(), records.size() - 2);
   EXPECT_EQ(report.records_skipped, 2u);
   EXPECT_EQ(report.records_recovered, records.size() - 2);
   EXPECT_FALSE(report.clean());
   // Neighbours of the corrupt records survived intact.
   EXPECT_EQ(file.records.front().ts, records[1].ts);
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(SalvageTest, NegativeByteCountIsSkipped) {
   const auto path = dir_ / "negbytes.psct";
-  write_trace(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
-  // Set the sign bit of record 0's bytes field (offset 16 + 8 + 4 + 3).
-  patch_byte(path, 16 + 8 + 4 + 3, static_cast<char>(0x80));
+  write_trace_binary(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
+  // Set the sign bit of record 0's bytes field.
+  patch_payload(path, 0, kBytesSignOffset, static_cast<char>(0x80));
   SalvageReport report;
-  const TraceFile file = read_trace_salvage(path, &report);
+  const TraceFile file = read_trace_binary_salvage(path, &report);
   EXPECT_EQ(report.records_skipped, 1u);
   EXPECT_EQ(file.records.size(), 49u);
 }
 
 TEST_F(SalvageTest, TrailingGarbageIsCountedNotParsed) {
   const auto path = dir_ / "garbage.psct";
-  write_trace(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
+  write_trace_binary(path, Ipv4Addr{10, 0, 0, 1}, sample_records());
   {
     // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out << "spurious tail bytes";
   }
   SalvageReport report;
-  const TraceFile file = read_trace_salvage(path, &report);
+  const TraceFile file = read_trace_binary_salvage(path, &report);
   EXPECT_EQ(file.records.size(), 50u);
   EXPECT_EQ(report.bytes_discarded, 19u);
   EXPECT_FALSE(report.truncated);
   EXPECT_NE(report.note.find("trailing"), std::string::npos);
-  EXPECT_THROW((void)read_trace(path), std::runtime_error);
+  EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
 }
 
 TEST_F(SalvageTest, PcapSalvageMatchesStrictOnCleanFile) {
@@ -280,6 +309,7 @@ TEST_F(SalvageTest, PcapImplausibleOriginalLengthIsSkippedAlone) {
   const auto salvaged = read_pcap_salvage(path, probe, &report);
   EXPECT_EQ(salvaged.size(), 49u);
   EXPECT_EQ(report.records_skipped, 1u);
+  EXPECT_EQ(report.records_rejected, 1u);
   EXPECT_FALSE(report.truncated);
   EXPECT_THROW((void)read_pcap(path, probe), std::runtime_error);
 }

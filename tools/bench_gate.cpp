@@ -51,7 +51,10 @@ class FieldScanner {
 
   /// Offset just past `"key":`, or npos.
   [[nodiscard]] std::size_t value_offset(std::string_view key) const {
-    const std::string needle = "\"" + std::string{key} + "\":";
+    // Appends, not "literal" + std::string: GCC 12 at -O3 reports a
+    // false -Werror=restrict on the operator+ form.
+    std::string needle{"\""};
+    needle.append(key).append("\":");
     const std::size_t at = text_.find(needle);
     return at == npos ? npos : at + needle.size();
   }

@@ -85,7 +85,7 @@ assert_sidecar() {
 # --- clean baseline -------------------------------------------------
 run_cell clean 0 \
   "${PEERSCOPE}" run --app "${APP}" --seed "${SEED}" \
-  --duration "${DURATION}" --out "${OUT}/clean" --trace-format binary \
+  --duration "${DURATION}" --out "${OUT}/clean" \
   --metrics "${OUT}/clean_metrics.json"
 assert_sidecar clean "${OUT}/clean_metrics.json" \
   sim.events_executed trace.binary_files_written
@@ -94,7 +94,7 @@ VICTIM="$(cd "${OUT}/clean" && ls *.psct | head -1)"
 # --- transient faults are absorbed byte-identically -----------------
 run_cell eintr 0 \
   "${PEERSCOPE}" run --app "${APP}" --seed "${SEED}" \
-  --duration "${DURATION}" --out "${OUT}/eintr" --trace-format binary \
+  --duration "${DURATION}" --out "${OUT}/eintr" \
   --io-faults "eintr@4:${VICTIM},short-write@900:${VICTIM}" \
   --metrics "${OUT}/eintr_metrics.json"
 assert_sidecar eintr "${OUT}/eintr_metrics.json" \
@@ -107,7 +107,7 @@ fi
 # --- hard ENOSPC: loud failure, sidecar still complete --------------
 run_cell enospc 1 \
   "${PEERSCOPE}" run --app "${APP}" --seed "${SEED}" \
-  --duration "${DURATION}" --out "${OUT}/enospc" --trace-format binary \
+  --duration "${DURATION}" --out "${OUT}/enospc" \
   --io-faults "enospc@5000:${VICTIM}" \
   --metrics "${OUT}/enospc_metrics.json"
 assert_sidecar enospc "${OUT}/enospc_metrics.json" \
@@ -121,7 +121,7 @@ fi
 run_cell fsync-retry 0 \
   "${PEERSCOPE}" run --app "${APP}" --seed "${SEED}" \
   --duration "${DURATION}" --out "${OUT}/fsync-retry" \
-  --trace-format binary --retries 1 \
+  --retries 1 \
   --io-faults "fsync-fail:${VICTIM}" \
   --metrics "${OUT}/fsync_metrics.json"
 assert_sidecar fsync-retry "${OUT}/fsync_metrics.json" \

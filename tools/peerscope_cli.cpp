@@ -3,9 +3,9 @@
 //   peerscope testbed
 //       Print the Table I testbed.
 //   peerscope run --app <name> [--seed N] [--duration S] --out DIR
-//                 [--trace-format classic|binary] [--pcap] [--csv]
-//                 [supervision flags] [fault flags]
-//       Run one experiment, store per-probe traces plus the experiment
+//                 [--pcap] [--csv] [supervision flags] [fault flags]
+//       Run one experiment, store per-probe PSBT traces (per-record
+//       CRC-32C + sync markers, DESIGN.md §15) plus the experiment
 //       metadata sidecar needed for offline analysis. Injected faults
 //       are recorded in the sidecar. The run is supervised: failures
 //       are retried per --retries, --deadline cuts off an overlong
@@ -92,11 +92,6 @@
 //   --io-faults-seed N  seed for fault offsets the schedule leaves
 //                     unset (env PEERSCOPE_IO_FAULTS_SEED).
 //
-// run --trace-format: `classic` (default) writes the fixed-record
-// PSCT format; `binary` writes the checksummed record-framed PSBT
-// format (per-record CRC-32C + sync markers, DESIGN.md §15). analyze
-// sniffs each trace's magic, so mixed captures load fine either way.
-//
 // trace-summary: `peerscope trace-summary PATH [--top N]
 // [--deterministic]` profiles a trace.json — per-span-path self/total
 // wall time, sorted by self time ("--top N" rows, default 20), plus a
@@ -181,6 +176,7 @@
 #include "trace/io.hpp"
 #include "trace/pcap.hpp"
 #include "util/io_faults.hpp"
+#include "util/salvage.hpp"
 #include "util/table.hpp"
 
 using namespace peerscope;
@@ -216,7 +212,7 @@ int usage(int code = kExitUsage) {
   std::cerr <<
       R"(usage:
   peerscope testbed
-  peerscope run --app <name> [--seed N] [--duration S] --out DIR [--trace-format classic|binary] [--pcap] [--csv] [supervision] [fault flags]
+  peerscope run --app <name> [--seed N] [--duration S] --out DIR [--pcap] [--csv] [supervision] [fault flags]
   peerscope analyze DIR [--salvage]
   peerscope report --app <name> [--seed N] [--duration S] [supervision] [fault flags]
   peerscope reproduce [--out FILE] [--seed N] [--duration S] [supervision]
@@ -272,7 +268,6 @@ struct RunArgs {
   std::uint64_t seed = 42;
   std::int64_t duration_s = 120;
   std::filesystem::path out;
-  bool binary_trace = false;
   bool pcap = false;
   bool csv = false;
   int retries = 0;
@@ -377,20 +372,6 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
         return std::nullopt;
       }
       args.out = v;
-    } else if (flag == "--trace-format") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << "--trace-format needs a value\n";
-        return std::nullopt;
-      }
-      const std::string format = v;
-      if (format != "classic" && format != "binary") {
-        std::cerr << "invalid value for --trace-format: " << v
-                  << " (expected classic | binary)\n";
-        err = kExitBadValue;
-        return std::nullopt;
-      }
-      args.binary_trace = format == "binary";
     } else if (flag == "--pcap") {
       args.pcap = true;
     } else if (flag == "--csv") {
@@ -706,16 +687,9 @@ int cmd_run(const RunArgs& args) {
                              info.access.is_high_bandwidth(), label});
       auto records = swarm.sink(i).records();
       std::sort(records.begin(), records.end(), trace::record_before);
-      // Same filename either way: analyze sniffs the magic, so a
-      // capture directory can mix classic and binary traces.
-      const auto trace_path =
-          args.out / exp::ExperimentMetadata::trace_filename(label);
-      if (args.binary_trace) {
-        trace::write_trace_binary(trace_path, swarm.sink(i).probe(),
-                                  records);
-      } else {
-        trace::write_trace(trace_path, swarm.sink(i).probe(), records);
-      }
+      trace::write_trace_binary(
+          args.out / exp::ExperimentMetadata::trace_filename(label),
+          swarm.sink(i).probe(), records);
       if (args.pcap) {
         trace::write_pcap(args.out / (label + ".pcap"),
                           swarm.sink(i).probe(), records);
@@ -916,13 +890,13 @@ int cmd_timeline(const std::filesystem::path& path, bool csv,
   obs::SeriesSnapshot snapshot;
   try {
     if (salvage) {
-      obs::SeriesSalvageReport report;
+      util::SalvageReport report;
       snapshot = obs::read_series_salvage(path, &report);
-      if (report.framing.records_dropped > 0 ||
-          report.payloads_skipped > 0) {
+      if (report.records_skipped > 0) {
         std::cerr << "timeline: salvage: dropped "
-                  << report.framing.records_dropped << " damaged record(s), "
-                  << report.payloads_skipped << " unparseable payload(s)\n";
+                  << report.records_skipped - report.records_rejected
+                  << " damaged record(s), " << report.records_rejected
+                  << " unparseable payload(s)\n";
       }
     } else {
       snapshot = obs::read_series(path);
