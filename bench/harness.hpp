@@ -1,6 +1,7 @@
 // Shared bench-harness plumbing: runs the three applications at the
-// default reproduction scale and provides the paper's published values
-// so every binary prints paper-vs-measured rows.
+// default reproduction scale and re-exports the paper's published
+// values (aware/paper.hpp) so every binary prints paper-vs-measured
+// rows.
 #pragma once
 
 #include <algorithm>
@@ -13,13 +14,14 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/resource.h>
 
 #include "aware/export.hpp"
+#include "aware/paper.hpp"
 #include "aware/report.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
@@ -29,6 +31,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -210,6 +213,41 @@ class SeriesSession {
   std::unique_ptr<obs::TimeseriesRecorder> recorder_;
 };
 
+/// The peerscope.bench/2 document: one JSON object on one line, with
+/// `phases` in the given order. Doubles take iostream's default six
+/// significant digits, the spelling of every committed snapshot.
+inline std::string bench_json(std::string_view name, double wall_s,
+                              std::uint64_t events, long peak_rss_kb,
+                              const std::vector<obs::SpanAttribution>& phases) {
+  namespace json = util::json;
+  std::string out = "{\"schema\":\"peerscope.bench/2\",\"bench\":";
+  json::append_string(out, name);
+  out += ",\"wall_s\":";
+  json::append_number(out, wall_s, 6);
+  out += ",\"events_executed\":";
+  json::append_number(out, events);
+  out += ",\"events_per_s\":";
+  json::append_number(
+      out, wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0, 6);
+  out += ",\"peak_rss_kb\":";
+  json::append_number(out, peak_rss_kb);
+  out += ",\"phases\":[";
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    if (i != 0) out += ',';
+    out += "{\"path\":";
+    json::append_string(out, phases[i].path);
+    out += ",\"count\":";
+    json::append_number(out, phases[i].count);
+    out += ",\"total_ns\":";
+    json::append_number(out, phases[i].total_ns);
+    out += ",\"self_ns\":";
+    json::append_number(out, phases[i].self_ns);
+    out += '}';
+  }
+  out += "]}\n";
+  return out;
+}
+
 /// PEERSCOPE_BENCH_JSON hook: machine-readable performance summary for
 /// CI trend tracking. When the variable names a path, the session
 /// measures the bench's wall time, simulation throughput, peak RSS and
@@ -272,21 +310,9 @@ class BenchJsonSession {
     }
     ::rusage usage{};
     ::getrusage(RUSAGE_SELF, &usage);
-    std::ostringstream out;
-    out << "{\"schema\":\"peerscope.bench/2\",\"bench\":\"" << name_
-        << "\",\"wall_s\":" << wall_s << ",\"events_executed\":" << events
-        << ",\"events_per_s\":" << (wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0)
-        << ",\"peak_rss_kb\":" << usage.ru_maxrss << ",\"phases\":[";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-      const obs::SpanAttribution& row = phases[i];
-      if (i != 0) out << ',';
-      out << "{\"path\":\"" << row.path << "\",\"count\":" << row.count
-          << ",\"total_ns\":" << row.total_ns
-          << ",\"self_ns\":" << row.self_ns << '}';
-    }
-    out << "]}\n";
     try {
-      util::write_file_atomic(path_, out.str());
+      util::write_file_atomic(
+          path_, bench_json(name_, wall_s, events, usage.ru_maxrss, phases));
       std::cerr << "bench-json: wrote " << path_.string() << '\n';
     } catch (const std::exception& error) {
       std::cerr << "bench-json: " << error.what() << '\n';
@@ -313,79 +339,17 @@ inline std::string fmt_opt(const std::optional<double>& v,
   return v ? fmt(*v, precision) : "-";
 }
 
-// ----------------------------------------------------------------------
-// Published values (the paper's tables), for side-by-side comparison.
-
-/// Table II row.
-struct PaperSummary {
-  const char* app;
-  double rx_mean, rx_max, tx_mean, tx_max;
-  double peers_mean, peers_max;
-  double contrib_rx_mean, contrib_rx_max;
-  double contrib_tx_mean, contrib_tx_max;
-  double observed_total;
-};
-
-inline constexpr PaperSummary kPaperTable2[] = {
-    {"PPLive", 552, 934, 3384, 11818, 23101, 39797, 391, 841, 1025, 2570,
-     181729},
-    {"SopCast", 449, 542, 293, 1070, 776, 1233, 139, 229, 152, 243, 4057},
-    {"TVAnts", 419, 478, 464, 1001, 229, 270, 58, 90, 75, 118, 550},
-};
-
-/// Table III row.
-struct PaperSelfBias {
-  const char* app;
-  double contrib_peer_pct, contrib_bytes_pct;
-  double all_peer_pct, all_bytes_pct;
-};
-
-inline constexpr PaperSelfBias kPaperTable3[] = {
-    {"PPLive", 0.95, 3.54, 0.10, 3.33},
-    {"SopCast", 10.25, 17.71, 4.60, 19.45},
-    {"TVAnts", 29.82, 56.31, 15.56, 56.06},
-};
-
-/// Table IV cell: {B'D, P'D, BD, PD, B'U, P'U, BU, PU}; negative means
-/// the paper prints "-".
-struct PaperAwareness {
-  const char* metric;
-  const char* app;
-  double bpd, ppd, bd, pd;
-  double bpu, ppu, bu, pu;
-};
-
-inline constexpr double kDash = -1.0;
-
-inline constexpr PaperAwareness kPaperTable4[] = {
-    {"BW", "PPLive", 95.9, 85.9, 95.6, 86.1, kDash, kDash, kDash, kDash},
-    {"BW", "SopCast", 98.2, 83.3, 98.5, 85.3, kDash, kDash, kDash, kDash},
-    {"BW", "TVAnts", 96.5, 83.2, 98.2, 89.6, kDash, kDash, kDash, kDash},
-    {"AS", "PPLive", 6.5, 0.6, 12.8, 1.3, 0.8, 0.2, 1.8, 0.5},
-    {"AS", "SopCast", 0.6, 0.7, 3.5, 3.9, 1.7, 0.7, 6.4, 3.9},
-    {"AS", "TVAnts", 7.3, 3.3, 32.0, 13.5, 11.6, 1.8, 30.1, 9.6},
-    {"CC", "PPLive", 6.5, 0.6, 13.1, 1.4, 1.1, 0.3, 2.1, 0.6},
-    {"CC", "SopCast", 0.6, 0.8, 4.0, 4.4, 1.7, 0.8, 7.2, 4.4},
-    {"CC", "TVAnts", 7.6, 4.0, 37.9, 16.3, 14.3, 3.1, 37.7, 12.5},
-    {"NET", "PPLive", kDash, kDash, 9.9, 0.8, kDash, kDash, 1.4, 0.3},
-    {"NET", "SopCast", kDash, kDash, 2.0, 2.6, kDash, kDash, 3.5, 2.6},
-    {"NET", "TVAnts", kDash, kDash, 18.1, 6.7, kDash, kDash, 18.1, 5.4},
-    {"HOP", "PPLive", 42.2, 41.1, 51.4, 42.4, 30.4, 40.4, 31.7, 41.0},
-    {"HOP", "SopCast", 29.0, 40.7, 37.9, 48.0, 45.9, 43.0, 56.9, 49.8},
-    {"HOP", "TVAnts", 62.1, 55.0, 81.1, 71.9, 57.8, 53.0, 78.9, 67.2},
-};
-
-/// Figure 2 intra/inter-AS traffic ratios reported in §IV-B.
-struct PaperAsRatio {
-  const char* app;
-  double ratio;
-};
-
-inline constexpr PaperAsRatio kPaperFig2Ratios[] = {
-    {"SopCast", 0.2},
-    {"TVAnts", 1.93},
-    {"PPLive", 0.98},
-};
+// The paper's published values (aware/paper.hpp), under the names the
+// benches and the benchmark use.
+using aware::kDash;
+using aware::kPaperFig2Ratios;
+using aware::kPaperTable2;
+using aware::kPaperTable3;
+using aware::kPaperTable4;
+using aware::PaperAsRatio;
+using aware::PaperAwareness;
+using aware::PaperSelfBias;
+using aware::PaperSummary;
 
 inline std::string paper_cell(double v, int precision = 1) {
   return v < 0 ? "-" : fmt(v, precision);

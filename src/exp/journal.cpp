@@ -1,6 +1,5 @@
 #include "exp/journal.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -8,10 +7,13 @@
 #include "util/atomic_file.hpp"
 #include "util/crc32c.hpp"
 #include "util/io_faults.hpp"
+#include "util/json.hpp"
 
 namespace peerscope::exp {
 
 namespace {
+
+namespace json = util::json;
 
 constexpr const char* kResultHeader = "peerscope-runresult 1";
 
@@ -42,105 +44,6 @@ std::string hex16(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// Extracts the string value of `"key":"..."` from one of our own
-/// JSON lines (the journal is self-written; this is a reader for that
-/// exact dialect, not a general JSON parser). Returns nullopt when the
-/// key is absent or the value is malformed.
-std::optional<std::string> json_string_field(const std::string& line,
-                                             const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto start = line.find(needle);
-  if (start == std::string::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = start + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') return out;
-    if (c == '\\') {
-      if (i + 1 >= line.size()) return std::nullopt;
-      const char esc = line[++i];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'u': {
-          if (i + 4 >= line.size()) return std::nullopt;
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = line[++i];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else {
-              return std::nullopt;
-            }
-          }
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return std::nullopt;
-      }
-    } else {
-      out += c;
-    }
-  }
-  return std::nullopt;  // unterminated (torn line)
-}
-
-std::optional<int> json_int_field(const std::string& line,
-                                  const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto start = line.find(needle);
-  if (start == std::string::npos) return std::nullopt;
-  std::size_t i = start + needle.size();
-  if (i >= line.size() ||
-      std::isdigit(static_cast<unsigned char>(line[i])) == 0) {
-    return std::nullopt;
-  }
-  int value = 0;
-  for (; i < line.size() &&
-         std::isdigit(static_cast<unsigned char>(line[i])) != 0;
-       ++i) {
-    value = value * 10 + (line[i] - '0');
-  }
-  return value;
 }
 
 }  // namespace
@@ -237,7 +140,7 @@ std::string spec_flight_name(const std::string& id) {
 
 void journal_begin(const std::filesystem::path& path) {
   std::string header = "{\"schema\":";
-  append_json_string(header, kJournalSchema);
+  json::append_string(header, kJournalSchema);
   header += "}\n";
   util::write_file_atomic(path, header);
 }
@@ -245,17 +148,18 @@ void journal_begin(const std::filesystem::path& path) {
 void journal_append(const std::filesystem::path& path,
                     const JournalEntry& entry) {
   std::string line = "{\"spec\":";
-  append_json_string(line, entry.spec);
+  json::append_string(line, entry.spec);
   line += ",\"state\":";
-  append_json_string(line, entry.state);
-  line += ",\"attempts\":" + std::to_string(entry.attempts);
+  json::append_string(line, entry.state);
+  line += ",\"attempts\":";
+  json::append_number(line, entry.attempts);
   if (!entry.artifact.empty()) {
     line += ",\"artifact\":";
-    append_json_string(line, entry.artifact);
+    json::append_string(line, entry.artifact);
   }
   if (!entry.error.empty()) {
     line += ",\"error\":";
-    append_json_string(line, entry.error);
+    json::append_string(line, entry.error);
   }
   line += '}';
   util::append_line_durable(path, line);
@@ -269,7 +173,7 @@ std::map<std::string, JournalEntry> journal_replay(
   std::istringstream in(*buf);
   std::string line;
   if (!std::getline(in, line) ||
-      json_string_field(line, "schema") != std::string{kJournalSchema}) {
+      json::string_field(line, "schema") != kJournalSchema) {
     throw std::runtime_error("journal " + path.string() +
                              ": missing peerscope.journal/1 header");
   }
@@ -280,15 +184,15 @@ std::map<std::string, JournalEntry> journal_replay(
     // follows one is still honoured.
     if (line.back() != '}') continue;
     JournalEntry entry;
-    const auto spec = json_string_field(line, "spec");
-    const auto state = json_string_field(line, "state");
-    const auto attempts = json_int_field(line, "attempts");
+    const auto spec = json::string_field(line, "spec");
+    const auto state = json::string_field(line, "state");
+    const auto attempts = json::number_field(line, "attempts");
     if (!spec || !state || !attempts) continue;
     entry.spec = *spec;
     entry.state = *state;
-    entry.attempts = *attempts;
-    entry.artifact = json_string_field(line, "artifact").value_or("");
-    entry.error = json_string_field(line, "error").value_or("");
+    entry.attempts = static_cast<int>(*attempts);
+    entry.artifact = json::string_field(line, "artifact").value_or("");
+    entry.error = json::string_field(line, "error").value_or("");
     entries[entry.spec] = std::move(entry);
   }
   return entries;

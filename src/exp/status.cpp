@@ -1,51 +1,18 @@
 #include "exp/status.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <utility>
 
 #include "exp/supervisor.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace peerscope::exp {
 
 namespace {
 
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-std::string fixed3(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.3f", value);
-  return buf;
-}
+namespace json = util::json;
 
 const char* state_label(int state) {
   switch (state) {
@@ -56,72 +23,6 @@ const char* state_label(int state) {
     default:
       return to_string(static_cast<RunState>(state));
   }
-}
-
-// Own-dialect readers (the same shape journal.cpp uses): extract one
-// scalar field from a document StatusReporter itself wrote.
-
-std::optional<std::string> string_field(std::string_view doc,
-                                        const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto start = doc.find(needle);
-  if (start == std::string_view::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = start + needle.size(); i < doc.size(); ++i) {
-    const char c = doc[i];
-    if (c == '"') return out;
-    if (c == '\\') {
-      if (i + 1 >= doc.size()) return std::nullopt;
-      const char esc = doc[++i];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'u': {
-          if (i + 4 >= doc.size()) return std::nullopt;
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = doc[++i];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else {
-              return std::nullopt;
-            }
-          }
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return std::nullopt;
-      }
-    } else {
-      out += c;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<double> number_field(std::string_view doc,
-                                   const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto start = doc.find(needle);
-  if (start == std::string_view::npos) return std::nullopt;
-  const std::size_t i = start + needle.size();
-  if (i >= doc.size()) return std::nullopt;
-  const std::string number{doc.substr(i, 32)};
-  char* end = nullptr;
-  const double value = std::strtod(number.c_str(), &end);
-  if (end == number.c_str()) return std::nullopt;
-  return value;
 }
 
 }  // namespace
@@ -184,9 +85,9 @@ void StatusReporter::run() {
 std::string StatusReporter::render(std::string_view phase) {
   const auto now = std::chrono::steady_clock::now();
   std::string out = "{\"schema\":";
-  append_json_string(out, kStatusSchema);
+  json::append_string(out, kStatusSchema);
   out += ",\"phase\":";
-  append_json_string(out, phase);
+  json::append_string(out, phase);
   out += ",\"runs\":[";
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     LiveRun& live = runs_[i];
@@ -225,54 +126,45 @@ std::string StatusReporter::render(std::string_view phase) {
 
     if (i > 0) out += ',';
     out += "{\"spec\":";
-    append_json_string(out, live.spec);
+    json::append_string(out, live.spec);
     out += ",\"state\":";
-    append_json_string(out, state_label(state));
-    out += ",\"attempts\":" +
-           std::to_string(live.attempts.load(std::memory_order_relaxed));
-    out += ",\"events\":" + std::to_string(events);
-    out += ",\"sim_time_s\":" + fixed3(static_cast<double>(sim_ns) / 1e9);
-    out += ",\"events_per_s\":" + fixed3(base.events_per_s);
-    out += ",\"eta_s\":" + fixed3(eta_s);
+    json::append_string(out, state_label(state));
+    out += ",\"attempts\":";
+    json::append_number(out, live.attempts.load(std::memory_order_relaxed));
+    out += ",\"events\":";
+    json::append_number(out, events);
+    out += ",\"sim_time_s\":";
+    json::append_fixed(out, static_cast<double>(sim_ns) / 1e9, 3);
+    out += ",\"events_per_s\":";
+    json::append_fixed(out, base.events_per_s, 3);
+    out += ",\"eta_s\":";
+    json::append_fixed(out, eta_s, 3);
     out += '}';
   }
   out += "]}\n";
   return out;
 }
 
-std::optional<StatusView> parse_status(std::string_view json) {
-  if (string_field(json, "schema") != std::string{kStatusSchema}) {
-    return std::nullopt;
-  }
+std::optional<StatusView> parse_status(std::string_view doc) {
+  if (json::string_field(doc, "schema") != kStatusSchema) return std::nullopt;
   StatusView view;
-  const auto phase = string_field(json, "phase");
-  if (!phase) return std::nullopt;
+  const auto phase = json::string_field(doc, "phase");
+  const auto runs = json::object_elements(doc, "runs");
+  if (!phase || !runs) return std::nullopt;
   view.phase = *phase;
-  const auto runs_at = json.find("\"runs\":[");
-  if (runs_at == std::string_view::npos) return std::nullopt;
-  std::string_view rest = json.substr(runs_at + 8);
-  // Run entries are flat objects (no nesting in our dialect): each one
-  // spans exactly one {...}.
-  while (true) {
-    const auto open = rest.find('{');
-    const auto close = rest.find('}');
-    if (open == std::string_view::npos || close == std::string_view::npos ||
-        close < open) {
-      break;
-    }
-    const std::string_view entry = rest.substr(open, close - open + 1);
-    StatusRunView run;
-    const auto spec = string_field(entry, "spec");
-    const auto state = string_field(entry, "state");
-    const auto attempts = number_field(entry, "attempts");
-    const auto events = number_field(entry, "events");
-    const auto sim_time_s = number_field(entry, "sim_time_s");
-    const auto events_per_s = number_field(entry, "events_per_s");
-    const auto eta_s = number_field(entry, "eta_s");
+  for (const std::string_view entry : *runs) {
+    const auto spec = json::string_field(entry, "spec");
+    const auto state = json::string_field(entry, "state");
+    const auto attempts = json::number_field(entry, "attempts");
+    const auto events = json::number_field(entry, "events");
+    const auto sim_time_s = json::number_field(entry, "sim_time_s");
+    const auto events_per_s = json::number_field(entry, "events_per_s");
+    const auto eta_s = json::number_field(entry, "eta_s");
     if (!spec || !state || !attempts || !events || !sim_time_s ||
         !events_per_s || !eta_s) {
       return std::nullopt;
     }
+    StatusRunView run;
     run.spec = *spec;
     run.state = *state;
     run.attempts = static_cast<int>(*attempts);
@@ -281,7 +173,6 @@ std::optional<StatusView> parse_status(std::string_view json) {
     run.events_per_s = *events_per_s;
     run.eta_s = *eta_s;
     view.runs.push_back(std::move(run));
-    rest = rest.substr(close + 1);
   }
   return view;
 }

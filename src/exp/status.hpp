@@ -117,9 +117,9 @@ struct StatusView {
   std::vector<StatusRunView> runs;
 };
 
-/// Parses a document written by StatusReporter (own-dialect reader,
-/// like journal_replay). Returns nullopt when the schema line is
-/// missing or a field is malformed.
-[[nodiscard]] std::optional<StatusView> parse_status(std::string_view json);
+/// Parses a document written by StatusReporter, through the
+/// util::json flat reader (DESIGN.md §9). Returns nullopt when the
+/// schema is foreign or missing, or a field is absent or torn.
+[[nodiscard]] std::optional<StatusView> parse_status(std::string_view doc);
 
 }  // namespace peerscope::exp

@@ -1,69 +1,27 @@
 #include "obs/json.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <stdexcept>
-
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace peerscope::obs {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_number(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out += buf;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
+using util::json::append_number;
+using util::json::append_string;
 
 template <typename Map, typename Fn>
 void append_object(std::string& out, const char* key, const Map& map,
                    Fn&& value_fn) {
   out += "  ";
-  append_escaped(out, key);
+  append_string(out, key);
   out += ": {";
   bool first = true;
   for (const auto& [name, value] : map) {
     if (!first) out += ',';
     first = false;
     out += "\n    ";
-    append_escaped(out, name);
+    append_string(out, name);
     out += ": ";
     value_fn(out, value);
   }

@@ -11,6 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -250,45 +251,12 @@ void trace_flush() {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out += buf;
-}
+using util::json::append_number;
 
 // Microseconds with nanosecond precision, rendered with integer math
 // so the text is locale-independent and exact.
 void append_ts_us(std::string& out, std::int64_t ts_ns) {
-  append_i64(out, ts_ns / 1000);
+  append_number(out, ts_ns / 1000);
   char buf[8];
   std::snprintf(buf, sizeof buf, ".%03" PRId64, ts_ns % 1000);
   out += buf;
@@ -316,25 +284,25 @@ std::string trace_json(const TraceSnapshot& snapshot) {
   out += "{\"schema\": \"peerscope.trace/1\",\n";
   out += "\"displayTimeUnit\": \"ms\",\n";
   out += "\"dropped\": ";
-  append_u64(out, snapshot.dropped);
+  append_number(out, snapshot.dropped);
   out += ",\n\"traceEvents\": [";
   bool first = true;
   for (const TraceEvent& event : snapshot.events) {
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\": ";
-    append_escaped(out, event.name);
+    util::json::append_string(out, event.name);
     out += ", \"ph\": \"";
     out += phase_letter(event.type);
     out += "\", \"pid\": 1, \"tid\": ";
-    append_u64(out, event.tid);
+    append_number(out, event.tid);
     out += ", \"ts\": ";
     append_ts_us(out, event.ts_ns);
     if (event.type == TraceEventType::kInstant) {
       out += ", \"s\": \"t\"";
     } else if (event.type == TraceEventType::kCounter) {
       out += ", \"args\": {\"value\": ";
-      append_i64(out, event.value);
+      append_number(out, event.value);
       out += '}';
     }
     out += '}';
@@ -377,27 +345,27 @@ std::string deterministic_trace(const TraceSnapshot& snapshot) {
   std::string out;
   out += "peerscope.trace/1 deterministic\n";
   out += "dropped ";
-  append_u64(out, snapshot.dropped);
+  append_number(out, snapshot.dropped);
   out += '\n';
   // `spans` here is a std::map (sorted); the name merely collides
   // with unordered declarations elsewhere in src/.
   for (const auto& [name, c] : spans) {  // lint: ordered
     out += "span " + name + " begin ";
-    append_u64(out, c.begins);
+    append_number(out, c.begins);
     out += " end ";
-    append_u64(out, c.ends);
+    append_number(out, c.ends);
     out += '\n';
   }
   for (const auto& [name, count] : instants) {
     out += "instant " + name + " count ";
-    append_u64(out, count);
+    append_number(out, count);
     out += '\n';
   }
   for (const auto& [name, c] : counters) {
     out += "counter " + name + " count ";
-    append_u64(out, c.count);
+    append_number(out, c.count);
     out += " sum ";
-    append_i64(out, c.sum);
+    append_number(out, c.sum);
     out += '\n';
   }
   return out;

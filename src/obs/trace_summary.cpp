@@ -2,61 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/io_faults.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace peerscope::obs {
 
 namespace {
 
+namespace json = util::json;
+
 constexpr std::string_view kTraceSchema = "peerscope.trace/1";
-
-/// `"key": "..."` extractor for our own writer's dialect (note the
-/// space after the colon — trace_json always emits one). Returns
-/// nullopt when the key is absent or the value is torn.
-std::optional<std::string> string_field(const std::string& line,
-                                        const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const auto start = line.find(needle);
-  if (start == std::string::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = start + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') return out;
-    if (c == '\\') {
-      if (i + 1 >= line.size()) return std::nullopt;
-      out += line[++i];
-    } else {
-      out += c;
-    }
-  }
-  return std::nullopt;  // closing quote lost to a torn tail
-}
-
-/// `"key": <number>` extractor; handles the integer and the
-/// integer.fraction forms trace_json emits.
-std::optional<double> number_field(const std::string& line,
-                                   const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto start = line.find(needle);
-  if (start == std::string::npos) return std::nullopt;
-  const char* begin = line.c_str() + start + needle.size();
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  if (end == begin) return std::nullopt;
-  // A number torn at end-of-line parses but may be truncated; require
-  // a delimiter after it so we only trust complete values.
-  if (*end != ',' && *end != '}' && *end != '\n' && *end != '\0') {
-    return std::nullopt;
-  }
-  return value;
-}
 
 std::optional<TraceEventType> type_from_phase(const std::string& ph) {
   if (ph == "B") return TraceEventType::kBegin;
@@ -81,7 +42,7 @@ TraceFile read_trace_file(const std::filesystem::path& path) {
     if (line.empty()) continue;
     if (!header_seen && line.rfind("{\"schema\"", 0) == 0) {
       header_seen = true;
-      file.schema = string_field(line, "schema").value_or("");
+      file.schema = json::string_field(line, "schema").value_or("");
       if (!file.schema.empty() && file.schema != kTraceSchema) {
         throw std::runtime_error("trace: " + path.string() +
                                  " has schema \"" + file.schema +
@@ -91,18 +52,21 @@ TraceFile read_trace_file(const std::filesystem::path& path) {
       continue;
     }
     if (line.rfind("\"dropped\"", 0) == 0) {
-      if (const auto dropped = number_field("{" + line, "dropped")) {
+      if (const auto dropped = json::number_field(line, "dropped")) {
         file.dropped = static_cast<std::uint64_t>(*dropped);
       }
       continue;
     }
     if (line[0] != '{') continue;  // structural lines ("traceEvents", "]}")
-    const auto name = string_field(line, "name");
-    const auto ph = string_field(line, "ph");
-    const auto tid = number_field(line, "tid");
-    const auto ts = number_field(line, "ts");
+    const auto name = json::string_field(line, "name");
+    const auto ph = json::string_field(line, "ph");
+    const auto tid = json::number_field(line, "tid");
+    const auto ts = json::number_field(line, "ts");
     const auto type = ph ? type_from_phase(*ph) : std::nullopt;
-    if (!name || !type || !tid || !ts) {
+    const auto value = type == TraceEventType::kCounter
+                           ? json::number_field(line, "value")
+                           : std::optional<double>{0.0};
+    if (!name || !type || !tid || !ts || !value) {
       ++file.skipped_lines;  // torn or foreign event line: salvage on
       continue;
     }
@@ -111,10 +75,7 @@ TraceFile read_trace_file(const std::filesystem::path& path) {
     event.type = *type;
     event.tid = static_cast<std::uint32_t>(*tid);
     event.ts_ns = std::llround(*ts * 1000.0);
-    if (*type == TraceEventType::kCounter) {
-      event.value = static_cast<std::int64_t>(
-          number_field(line, "value").value_or(0.0));
-    }
+    event.value = static_cast<std::int64_t>(*value);
     file.events.push_back(std::move(event));
   }
   return file;

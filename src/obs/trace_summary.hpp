@@ -4,9 +4,9 @@
 // attributes wall time to span paths: `total` is time between a
 // span's B and E events, `self` is total minus the time spent in
 // directly nested child spans — the number that says where a phase
-// actually burns its cycles. The reader is a dialect parser for our
-// own writer (like exp/journal.cpp's), line-oriented and salvage-mode
-// by construction: a torn or garbled event line is counted in
+// actually burns its cycles. The reader reads each line through the
+// util::json flat reader (DESIGN.md §9) and is salvage-mode by
+// construction: a torn or garbled event line is counted in
 // `skipped_lines` and skipped, never fatal, so a trace copied out of
 // a SIGKILL'd run directory still profiles.
 #pragma once

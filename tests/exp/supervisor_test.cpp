@@ -487,6 +487,42 @@ TEST(Journal, SpecFlightNameSharesTheArtifactStem) {
             flight.substr(0, flight.size() - 11));
 }
 
+TEST_F(SupervisorTest, JournalKeepsItsBytesAndReplaysEveryField) {
+  const auto path = dir_ / "experiment.journal";
+  const JournalEntry entries[] = {
+      {"PPLive#seed=42#dur=300000000000", "ok", 1, "",
+       "PPLive_seed_42-0123abcd.result"},
+      {"TVAnts#seed=1", "failed", 3,
+       "bad \"quote\" and back\\slash\nsecond line", ""},
+      {"x\x01y", "timed_out", 2, "deadline", ""},
+  };
+  journal_begin(path);
+  for (const JournalEntry& entry : entries) journal_append(path, entry);
+
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(),
+            "{\"schema\":\"peerscope.journal/1\"}\n"
+            "{\"spec\":\"PPLive#seed=42#dur=300000000000\",\"state\":\"ok\","
+            "\"attempts\":1,\"artifact\":\"PPLive_seed_42-0123abcd.result\"}\n"
+            "{\"spec\":\"TVAnts#seed=1\",\"state\":\"failed\",\"attempts\":3,"
+            "\"error\":\"bad \\\"quote\\\" and back\\\\slash\\nsecond "
+            "line\"}\n"
+            "{\"spec\":\"x\\u0001y\",\"state\":\"timed_out\",\"attempts\":2,"
+            "\"error\":\"deadline\"}\n");
+
+  const auto replayed = journal_replay(path);
+  ASSERT_EQ(replayed.size(), std::size(entries));
+  for (const JournalEntry& entry : entries) {
+    const JournalEntry& back = replayed.at(entry.spec);
+    EXPECT_EQ(back.state, entry.state);
+    EXPECT_EQ(back.attempts, entry.attempts);
+    EXPECT_EQ(back.error, entry.error);
+    EXPECT_EQ(back.artifact, entry.artifact);
+  }
+}
+
 TEST_F(SupervisorTest, ReplayRejectsForeignFile) {
   const auto path = dir_ / "not_a_journal";
   // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture

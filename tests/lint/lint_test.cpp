@@ -778,16 +778,42 @@ TEST(Sarif, RendersVersionRulesAndOneResultPerFinding) {
 TEST(Sarif, EscapesMessagesAndOmitsRegionForLineZeroFindings) {
   LintResult result;
   result.findings.push_back({"src/a.cpp", 12, "demo-rule",
-                             "say \"hi\" back\\slash", "0011223344556677"});
+                             "say \"hi\" back\\slash\tand\x01",
+                             "0011223344556677"});
   result.findings.push_back(
       {"build/x.o", 0, "demo-rule", "whole-file", "8899aabbccddeeff"});
   const std::string sarif = to_sarif(result, ".");
   EXPECT_TRUE(json_well_formed(sarif));
-  EXPECT_THAT(sarif,
-              HasSubstr("say \\\"hi\\\" back\\\\slash"));
-  EXPECT_THAT(sarif, HasSubstr("\"startLine\": 12"));
-  // Exactly one region: the line-0 finding must omit it.
-  EXPECT_EQ(sarif.find("\"region\""), sarif.rfind("\"region\""));
+  // The results section byte for byte: short escapes for `"` `\` and
+  // tab, \u00xx for other control bytes, and no region for line 0.
+  const auto results = sarif.find("      \"results\"");
+  ASSERT_NE(results, std::string::npos);
+  EXPECT_EQ(
+      sarif.substr(results),
+      "      \"results\": [\n"
+      "        {\n"
+      "          \"ruleId\": \"demo-rule\",\n"
+      "          \"level\": \"error\",\n"
+      "          \"message\": {\"text\": \"say \\\"hi\\\" "
+      "back\\\\slash\\tand\\u0001\"},\n"
+      "          \"partialFingerprints\": {\"peerscopeLint/v1\": "
+      "\"0011223344556677\"},\n"
+      "          \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
+      "{\"uri\": \"src/a.cpp\"}, \"region\": {\"startLine\": 12}}}]\n"
+      "        },\n"
+      "        {\n"
+      "          \"ruleId\": \"demo-rule\",\n"
+      "          \"level\": \"error\",\n"
+      "          \"message\": {\"text\": \"whole-file\"},\n"
+      "          \"partialFingerprints\": {\"peerscopeLint/v1\": "
+      "\"8899aabbccddeeff\"},\n"
+      "          \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
+      "{\"uri\": \"build/x.o\"}}}]\n"
+      "        }\n"
+      "      ]\n"
+      "    }\n"
+      "  ]\n"
+      "}\n");
 }
 
 }  // namespace

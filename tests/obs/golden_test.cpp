@@ -1,7 +1,7 @@
-// Golden determinism tests for the metrics sidecar and the event
-// tracer: the deterministic rendering of a fixed-seed run must be
-// byte-identical across repeated invocations and across thread-pool
-// sizes (DESIGN.md §9, §12).
+// Golden tests for the metrics sidecar and the event tracer: the
+// deterministic rendering of a fixed-seed run must be byte-identical
+// across repeated invocations and across thread-pool sizes (DESIGN.md
+// §9, §12), and a hand-built snapshot renders to fixed bytes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -129,6 +129,146 @@ TEST(TraceGolden, OverflowingRingStaysWorkerCountIndependent) {
   EXPECT_EQ(serial.find("dropped 0\n"), std::string::npos)
       << "expected drops with an 8-slot ring:\n"
       << serial;
+}
+
+/// Every rendering path of metrics.json on one snapshot: escaped
+/// names, u64 extremes, negative i64, %.17g doubles, empty and timing
+/// histograms. The expected bytes pin the format: a change to the
+/// writer's code must not move them.
+MetricsSnapshot hand_built_snapshot() {
+  MetricsSnapshot m;
+  m.counters["a.count"] = 7;
+  m.counters["quo\"te\\back\x01"] = 1;
+  m.counters["z.max"] = 18446744073709551615ULL;
+  m.gauges["g.pi"] = 3.141592653589793;
+  m.gauges["g.neg"] = -0.1;
+  m.gauges["g.big"] = 1e300;
+  m.gauges["g.zero"] = 0.0;
+  m.gauges["g.small"] = 1e-7;
+  HistogramSnapshot value;
+  value.bounds = {1, 10, 100};
+  value.buckets = {0, 2, 3, 1};
+  value.count = 6;
+  value.sum = 250;
+  m.histograms["h.value"] = value;
+  HistogramSnapshot timing;
+  timing.bounds = {1000};
+  timing.buckets = {1, 2};
+  timing.count = 3;
+  timing.sum = -5000;
+  timing.timing = true;
+  m.histograms["h.time"] = timing;
+  m.histograms["h.empty"] = HistogramSnapshot{};
+  m.spans["run.A"] = SpanStats{2, 300, 100, 200};
+  m.spans["run.A/sim"] = SpanStats{1, 9'000'000'000, -1, 9'000'000'000};
+  return m;
+}
+
+TEST(MetricsGolden, HandBuiltSnapshotKeepsItsBytes) {
+  const MetricsSnapshot m = hand_built_snapshot();
+  EXPECT_EQ(
+      to_json(m),
+      "{\n"
+      "  \"schema\": \"peerscope.metrics/1\",\n"
+      "  \"counters\": {\n"
+      "    \"a.count\": 7,\n"
+      "    \"quo\\\"te\\\\back\\u0001\": 1,\n"
+      "    \"z.max\": 18446744073709551615\n"
+      "  },\n"
+      "  \"gauges\": {\n"
+      "    \"g.big\": 1.0000000000000001e+300,\n"
+      "    \"g.neg\": -0.10000000000000001,\n"
+      "    \"g.pi\": 3.1415926535897931,\n"
+      "    \"g.small\": 9.9999999999999995e-08,\n"
+      "    \"g.zero\": 0\n"
+      "  },\n"
+      "  \"histograms\": {\n"
+      "    \"h.empty\": {\"bounds\": [], \"buckets\": [], \"count\": 0, "
+      "\"sum\": 0},\n"
+      "    \"h.time\": {\"bounds\": [1000], \"buckets\": [1,2], \"count\": 3, "
+      "\"sum\": -5000, \"timing\": true},\n"
+      "    \"h.value\": {\"bounds\": [1,10,100], \"buckets\": [0,2,3,1], "
+      "\"count\": 6, \"sum\": 250}\n"
+      "  },\n"
+      "  \"spans\": {\n"
+      "    \"run.A\": {\"count\": 2, \"total_ns\": 300, \"min_ns\": 100, "
+      "\"max_ns\": 200},\n"
+      "    \"run.A/sim\": {\"count\": 1, \"total_ns\": 9000000000, "
+      "\"min_ns\": -1, \"max_ns\": 9000000000}\n"
+      "  }\n"
+      "}\n");
+  EXPECT_EQ(deterministic_json(m),
+            "{\n"
+            "  \"schema\": \"peerscope.metrics/1\",\n"
+            "  \"counters\": {\n"
+            "    \"a.count\": 7,\n"
+            "    \"quo\\\"te\\\\back\\u0001\": 1,\n"
+            "    \"z.max\": 18446744073709551615\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"h.empty\": {\"bounds\": [], \"buckets\": [], "
+            "\"count\": 0, \"sum\": 0},\n"
+            "    \"h.time\": {\"timing\": true},\n"
+            "    \"h.value\": {\"bounds\": [1,10,100], \"buckets\": "
+            "[0,2,3,1], \"count\": 6, \"sum\": 250}\n"
+            "  },\n"
+            "  \"spans\": {\n"
+            "    \"run.A\": {\"count\": 2},\n"
+            "    \"run.A/sim\": {\"count\": 1}\n"
+            "  }\n"
+            "}\n");
+  EXPECT_EQ(to_json(MetricsSnapshot{}),
+            "{\n"
+            "  \"schema\": \"peerscope.metrics/1\",\n"
+            "  \"counters\": {},\n"
+            "  \"gauges\": {},\n"
+            "  \"histograms\": {},\n"
+            "  \"spans\": {}\n"
+            "}\n");
+}
+
+/// trace.json for every event type, with names that need escaping.
+TEST(TraceGolden, HandBuiltSnapshotKeepsItsBytes) {
+  TraceSnapshot snap;
+  snap.dropped = 5;
+  snap.events.push_back({"run.App", TraceEventType::kBegin, 0, 0, 0});
+  snap.events.push_back(
+      {"run.App/q\"uo\\te", TraceEventType::kBegin, 0, 999, 0});
+  snap.events.push_back(
+      {"ctl\x01name", TraceEventType::kInstant, 3, 1'234'567, 0});
+  snap.events.push_back(
+      {"chunks", TraceEventType::kCounter, 3, 12'345'678'901'234, -17});
+  snap.events.push_back({"chunks", TraceEventType::kCounter, 0, 1'000'001, 42});
+  snap.events.push_back(
+      {"run.App/q\"uo\\te", TraceEventType::kEnd, 0, 5'000, 0});
+  snap.events.push_back({"run.App", TraceEventType::kEnd, 1, 9'000, 0});
+  EXPECT_EQ(
+      trace_json(snap),
+      "{\"schema\": \"peerscope.trace/1\",\n"
+      "\"displayTimeUnit\": \"ms\",\n"
+      "\"dropped\": 5,\n"
+      "\"traceEvents\": [\n"
+      "{\"name\": \"run.App\", \"ph\": \"B\", \"pid\": 1, \"tid\": 0, "
+      "\"ts\": 0.000},\n"
+      "{\"name\": \"run.App/q\\\"uo\\\\te\", \"ph\": \"B\", \"pid\": 1, "
+      "\"tid\": 0, \"ts\": 0.999},\n"
+      "{\"name\": \"ctl\\u0001name\", \"ph\": \"i\", \"pid\": 1, "
+      "\"tid\": 3, \"ts\": 1234.567, \"s\": \"t\"},\n"
+      "{\"name\": \"chunks\", \"ph\": \"C\", \"pid\": 1, \"tid\": 3, "
+      "\"ts\": 12345678901.234, \"args\": {\"value\": -17}},\n"
+      "{\"name\": \"chunks\", \"ph\": \"C\", \"pid\": 1, \"tid\": 0, "
+      "\"ts\": 1000.001, \"args\": {\"value\": 42}},\n"
+      "{\"name\": \"run.App/q\\\"uo\\\\te\", \"ph\": \"E\", \"pid\": 1, "
+      "\"tid\": 0, \"ts\": 5.000},\n"
+      "{\"name\": \"run.App\", \"ph\": \"E\", \"pid\": 1, \"tid\": 1, "
+      "\"ts\": 9.000}\n"
+      "]}\n");
+  EXPECT_EQ(trace_json(TraceSnapshot{}),
+            "{\"schema\": \"peerscope.trace/1\",\n"
+            "\"displayTimeUnit\": \"ms\",\n"
+            "\"dropped\": 0,\n"
+            "\"traceEvents\": [\n"
+            "]}\n");
 }
 
 TEST(MetricsGolden, WrittenFileMatchesRendering) {

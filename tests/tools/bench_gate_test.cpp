@@ -1,5 +1,5 @@
-// Perf-trajectory gate tests (tools/bench_gate.hpp): snapshot parsing
-// of the exact dialect bench::BenchJsonSession writes, the regression
+// Perf-trajectory gate tests (tools/bench_gate.hpp): the bytes
+// bench::bench_json writes and their parsing back, the regression
 // budget math behind `peerscope bench-diff`, and the markdown
 // rendering behind `peerscope bench-trajectory`.
 //
@@ -12,6 +12,9 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "bench/harness.hpp"
 
 namespace peerscope::tools {
 namespace {
@@ -82,6 +85,38 @@ TEST(BenchSnapshotParse, UnreadableFileThrowsWithPath) {
   } catch (const std::runtime_error& error) {
     EXPECT_THAT(error.what(), HasSubstr("BENCH_x.json"));
   }
+}
+
+TEST(BenchJson, DocumentKeepsItsBytes) {
+  const std::vector<obs::SpanAttribution> phases = {
+      {"run.PPLive", "run.PPLive", 1, 81232941, 7101607},
+      {"run.PPLive/simulate/swarm_run", "run.PPLive", 2, 71908592, 71908592}};
+  EXPECT_EQ(
+      bench::bench_json("bench_table2", 2.5e-05, 44707, 12544, phases),
+      "{\"schema\":\"peerscope.bench/2\",\"bench\":\"bench_table2\","
+      "\"wall_s\":2.5e-05,\"events_executed\":44707,"
+      "\"events_per_s\":1.78828e+09,\"peak_rss_kb\":12544,\"phases\":["
+      "{\"path\":\"run.PPLive\",\"count\":1,\"total_ns\":81232941,"
+      "\"self_ns\":7101607},"
+      "{\"path\":\"run.PPLive/simulate/swarm_run\",\"count\":2,"
+      "\"total_ns\":71908592,\"self_ns\":71908592}]}\n");
+  EXPECT_EQ(bench::bench_json("bench_micro_engine", 0.150017, 0, 65536, {}),
+            "{\"schema\":\"peerscope.bench/2\",\"bench\":"
+            "\"bench_micro_engine\",\"wall_s\":0.150017,"
+            "\"events_executed\":0,\"events_per_s\":0,"
+            "\"peak_rss_kb\":65536,\"phases\":[]}\n");
+}
+
+TEST(BenchJson, SpanPathsThatNeedEscapesRoundTrip) {
+  const std::vector<obs::SpanAttribution> phases = {
+      {"run.A/\"quoted\"\\path\t}]", "run.A", 3, 30, 10}};
+  const BenchSnapshot snap = parse_bench_snapshot(
+      bench::bench_json("bench_x", 1.5, 10, 2048, phases));
+  ASSERT_EQ(snap.phases.size(), 1u);
+  EXPECT_EQ(snap.phases[0].path, phases[0].path);
+  EXPECT_EQ(snap.phases[0].count, 3u);
+  EXPECT_EQ(snap.phases[0].total_ns, 30u);
+  EXPECT_EQ(snap.phases[0].self_ns, 10u);
 }
 
 TEST(BenchDiffMath, ComputesSignedPercentages) {

@@ -6,94 +6,45 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace peerscope::tools {
 namespace {
 
-/// Minimal field scanner for the one-object documents
-/// bench::BenchJsonSession writes: keys are known, values are numbers
-/// or plain strings (span paths and bench names never contain quotes
-/// or escapes), and the only nesting is the flat `phases` array. Not a
-/// general JSON parser on purpose — a foreign document should fail
-/// loudly, not half-parse.
-class FieldScanner {
- public:
-  explicit FieldScanner(std::string_view text) : text_(text) {}
+namespace json = util::json;
 
-  [[nodiscard]] std::string string_field(std::string_view key) const {
-    const std::size_t at = value_offset(key);
-    if (at == npos || at >= text_.size() || text_[at] != '"') {
-      throw std::runtime_error("bench snapshot: missing string field \"" +
-                               std::string{key} + "\"");
-    }
-    const std::size_t end = text_.find('"', at + 1);
-    if (end == npos) {
-      throw std::runtime_error("bench snapshot: unterminated string for \"" +
-                               std::string{key} + "\"");
-    }
-    return std::string{text_.substr(at + 1, end - at - 1)};
+std::string require_string(std::string_view text, std::string_view key) {
+  auto value = json::string_field(text, key);
+  if (!value) {
+    throw std::runtime_error("bench snapshot: missing string field \"" +
+                             std::string{key} + "\"");
   }
+  return std::move(*value);
+}
 
-  [[nodiscard]] double number_field(std::string_view key) const {
-    const std::size_t at = value_offset(key);
-    if (at == npos) {
-      throw std::runtime_error("bench snapshot: missing number field \"" +
-                               std::string{key} + "\"");
-    }
-    const std::string token{text_.substr(at, 32)};
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str()) {
-      throw std::runtime_error("bench snapshot: bad number for \"" +
-                               std::string{key} + "\"");
-    }
-    return v;
+double require_number(std::string_view text, std::string_view key) {
+  const auto value = json::number_field(text, key);
+  if (!value) {
+    throw std::runtime_error("bench snapshot: missing number field \"" +
+                             std::string{key} + "\"");
   }
-
-  /// Offset just past `"key":`, or npos.
-  [[nodiscard]] std::size_t value_offset(std::string_view key) const {
-    // Appends, not "literal" + std::string: GCC 12 at -O3 reports a
-    // false -Werror=restrict on the operator+ form.
-    std::string needle{"\""};
-    needle.append(key).append("\":");
-    const std::size_t at = text_.find(needle);
-    return at == npos ? npos : at + needle.size();
-  }
-
-  [[nodiscard]] std::string_view text() const { return text_; }
-
-  static constexpr std::size_t npos = std::string_view::npos;
-
- private:
-  std::string_view text_;
-};
+  return *value;
+}
 
 std::vector<BenchPhase> parse_phases(std::string_view text) {
   std::vector<BenchPhase> out;
-  const std::string needle = "\"phases\":[";
-  std::size_t at = text.find(needle);
-  if (at == std::string_view::npos) return out;  // a /1 document
-  at += needle.size();
-  const std::size_t end = text.find(']', at);
-  if (end == std::string_view::npos) {
-    throw std::runtime_error("bench snapshot: unterminated phases array");
-  }
-  std::size_t cursor = at;
-  while (true) {
-    const std::size_t open = text.find('{', cursor);
-    if (open == std::string_view::npos || open > end) break;
-    const std::size_t close = text.find('}', open);
-    if (close == std::string_view::npos || close > end) {
-      throw std::runtime_error("bench snapshot: torn phase object");
-    }
-    const FieldScanner row{text.substr(open, close - open + 1)};
+  // A peerscope.bench/1 document has no phases array.
+  if (text.find("\"phases\":") == std::string_view::npos) return out;
+  const auto rows = json::object_elements(text, "phases");
+  if (!rows) throw std::runtime_error("bench snapshot: torn phases array");
+  for (const std::string_view row : *rows) {
     BenchPhase phase;
-    phase.path = row.string_field("path");
-    phase.count = static_cast<std::uint64_t>(row.number_field("count"));
+    phase.path = require_string(row, "path");
+    phase.count = static_cast<std::uint64_t>(require_number(row, "count"));
     phase.total_ns =
-        static_cast<std::uint64_t>(row.number_field("total_ns"));
-    phase.self_ns = static_cast<std::uint64_t>(row.number_field("self_ns"));
+        static_cast<std::uint64_t>(require_number(row, "total_ns"));
+    phase.self_ns = static_cast<std::uint64_t>(require_number(row, "self_ns"));
     out.push_back(std::move(phase));
-    cursor = close + 1;
   }
   return out;
 }
@@ -125,21 +76,20 @@ std::string human_rate(double per_s) {
 }  // namespace
 
 BenchSnapshot parse_bench_snapshot(const std::string& text) {
-  const FieldScanner doc{text};
   BenchSnapshot out;
-  out.schema = doc.string_field("schema");
+  out.schema = require_string(text, "schema");
   if (out.schema.rfind("peerscope.bench/", 0) != 0) {
     throw std::runtime_error("bench snapshot: foreign schema \"" +
                              out.schema + "\"");
   }
-  out.bench = doc.string_field("bench");
-  out.wall_s = doc.number_field("wall_s");
+  out.bench = require_string(text, "bench");
+  out.wall_s = require_number(text, "wall_s");
   out.events_executed =
-      static_cast<std::uint64_t>(doc.number_field("events_executed"));
-  out.events_per_s = doc.number_field("events_per_s");
+      static_cast<std::uint64_t>(require_number(text, "events_executed"));
+  out.events_per_s = require_number(text, "events_per_s");
   out.peak_rss_kb =
-      static_cast<std::uint64_t>(doc.number_field("peak_rss_kb"));
-  out.phases = parse_phases(doc.text());
+      static_cast<std::uint64_t>(require_number(text, "peak_rss_kb"));
+  out.phases = parse_phases(text);
   return out;
 }
 

@@ -40,8 +40,9 @@ struct BenchSnapshot {
   std::vector<BenchPhase> phases;
 };
 
-/// Parses the exact dialect bench::BenchJsonSession writes. Throws
-/// std::runtime_error on malformed input or a foreign schema.
+/// Parses a document bench::BenchJsonSession wrote, through the
+/// util::json flat reader (DESIGN.md §9). Throws std::runtime_error
+/// when a field is absent or torn, or the schema is foreign.
 [[nodiscard]] BenchSnapshot parse_bench_snapshot(const std::string& text);
 
 /// read + parse; throws std::runtime_error (with the path in the

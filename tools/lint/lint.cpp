@@ -15,10 +15,13 @@
 #include <tuple>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace peerscope::lint {
 namespace {
 
 namespace fs = std::filesystem;
+namespace json = util::json;
 
 // Directories walked under the root, and the source extensions that
 // count. tests/lint/fixtures/ is excluded: its files violate rules on
@@ -1420,44 +1423,6 @@ std::vector<Finding> check_tracked_paths(
 
 LintResult run(const Options& options) { return Linter{options}.run(); }
 
-namespace {
-
-[[nodiscard]] std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string to_sarif(const LintResult& result,
                      const std::filesystem::path& root) {
   std::string out;
@@ -1474,9 +1439,11 @@ std::string to_sarif(const LintResult& result,
       "          \"rules\": [\n";
   const auto rules = rule_names();
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    out += "            {\"id\": \"" + json_escape(rules[i]) +
-           "\", \"shortDescription\": {\"text\": \"" +
-           json_escape(rule_description(rules[i])) + "\"}}";
+    out += "            {\"id\": ";
+    json::append_string(out, rules[i]);
+    out += ", \"shortDescription\": {\"text\": ";
+    json::append_string(out, rule_description(rules[i]));
+    out += "}}";
     out += i + 1 < rules.size() ? ",\n" : "\n";
   }
   out +=
@@ -1490,20 +1457,21 @@ std::string to_sarif(const LintResult& result,
     std::filesystem::path rel =
         std::filesystem::relative(finding.file, root, ec);
     if (ec || rel.empty()) rel = finding.file;
-    out += "        {\n";
-    out += "          \"ruleId\": \"" + json_escape(finding.rule) +
-           "\",\n";
-    out += "          \"level\": \"error\",\n";
-    out += "          \"message\": {\"text\": \"" +
-           json_escape(finding.message) + "\"},\n";
-    out += "          \"partialFingerprints\": {\"peerscopeLint/v1\": \"" +
-           json_escape(finding.fingerprint) + "\"},\n";
-    out += "          \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \"" +
-           json_escape(rel.generic_string()) + "\"}";
+    out += "        {\n          \"ruleId\": ";
+    json::append_string(out, finding.rule);
+    out += ",\n          \"level\": \"error\",\n";
+    out += "          \"message\": {\"text\": ";
+    json::append_string(out, finding.message);
+    out += "},\n          \"partialFingerprints\": {\"peerscopeLint/v1\": ";
+    json::append_string(out, finding.fingerprint);
+    out += "},\n          \"locations\": [{\"physicalLocation\": "
+           "{\"artifactLocation\": {\"uri\": ";
+    json::append_string(out, rel.generic_string());
+    out += '}';
     if (finding.line != 0) {
-      out += ", \"region\": {\"startLine\": " +
-             std::to_string(finding.line) + "}";
+      out += ", \"region\": {\"startLine\": ";
+      json::append_number(out, finding.line);
+      out += '}';
     }
     out += "}}]\n";
     out += i + 1 < result.findings.size() ? "        },\n"

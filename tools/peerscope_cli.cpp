@@ -1,5 +1,7 @@
 // peerscope — command-line front end.
 //
+//   peerscope --help | -h
+//       Print the usage text on stdout and exit 0.
 //   peerscope testbed
 //       Print the Table I testbed.
 //   peerscope run --app <name> [--seed N] [--duration S] --out DIR
@@ -132,7 +134,8 @@
 // markdown table — what CI appends to $GITHUB_STEP_SUMMARY.
 //
 // Exit codes: 0 success, 1 runtime error, 2 usage error,
-//             3 unknown application, 4 invalid flag value,
+//             3 unknown application, 4 invalid flag value (including
+//               a --seed or --duration that is not a whole integer),
 //             5 partial success (some supervised runs produced no
 //               result; the report marks them), 6 bad capture
 //               directory (analyze), 7 bad trace file
@@ -142,14 +145,17 @@
 //             9 bench regression (bench-diff: past --budget-pct).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -209,8 +215,11 @@ constexpr int kExitBenchRegression = 9;
 constexpr int kExitSloViolation = 10;
 
 int usage(int code = kExitUsage) {
-  std::cerr <<
+  // --help asked for the text: stdout and exit 0. Every other caller
+  // is reporting a mistake.
+  (code == 0 ? std::cout : std::cerr) <<
       R"(usage:
+  peerscope --help | -h
   peerscope testbed
   peerscope run --app <name> [--seed N] [--duration S] --out DIR [--pcap] [--csv] [supervision] [fault flags]
   peerscope analyze DIR [--salvage]
@@ -281,6 +290,28 @@ struct RunArgs {
   p2p::DiscoverySpec discovery;
 };
 
+/// --seed takes any 64-bit value; --duration at most what
+/// util::SimTime::seconds can represent.
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
+constexpr auto kMaxDurationS =
+    static_cast<std::uint64_t>(util::SimTime::max().ns() / 1'000'000'000);
+
+/// Strict integer parse for --seed and --duration (run, report and
+/// reproduce): the whole token must be base-10 digits with a value in
+/// [lo, hi]. Otherwise prints the diagnostic and returns nullopt
+/// (-> exit 4), so `--seed banana` cannot silently become seed 0 nor
+/// `--duration 5x` a 5 s run.
+std::optional<std::uint64_t> parse_integer(std::string_view flag,
+                                           const char* text, std::uint64_t lo,
+                                           std::uint64_t hi) {
+  const char* last = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text, last, v);
+  if (ec == std::errc{} && end == last && v >= lo && v <= hi) return v;
+  std::cerr << "invalid value for " << flag << ": " << text << '\n';
+  return std::nullopt;
+}
+
 /// Strict numeric parse: the whole token must be a number in
 /// [lo, hi]. nullopt (-> exit 4) otherwise — a mistyped probability
 /// must not silently become 0.
@@ -340,30 +371,23 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
       }
       args.profile = *profile;
       have_app = true;
-    } else if (flag == "--seed") {
+    } else if (flag == "--seed" || flag == "--duration") {
       const char* v = value();
       if (!v) {
-        std::cerr << "--seed needs a value\n";
+        std::cerr << flag << " needs a value\n";
         return std::nullopt;
       }
-      char* end = nullptr;
-      args.seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::cerr << "invalid value for --seed: " << v << '\n';
+      const bool seed = flag == "--seed";
+      const auto parsed = seed ? parse_integer(flag, v, 0, kMaxSeed)
+                               : parse_integer(flag, v, 1, kMaxDurationS);
+      if (!parsed) {
         err = kExitBadValue;
         return std::nullopt;
       }
-    } else if (flag == "--duration") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << "--duration needs a value\n";
-        return std::nullopt;
-      }
-      args.duration_s = std::atoll(v);
-      if (args.duration_s <= 0) {
-        std::cerr << "invalid value for --duration: " << v << '\n';
-        err = kExitBadValue;
-        return std::nullopt;
+      if (seed) {
+        args.seed = *parsed;
+      } else {
+        args.duration_s = static_cast<std::int64_t>(*parsed);
       }
     } else if (flag == "--out") {
       const char* v = value();
@@ -984,6 +1008,7 @@ int cmd_bench_trajectory(const std::vector<std::filesystem::path>& paths) {
 int dispatch(int argc, char** argv) {
   if (argc < 2) return usage(kExitUsage);
   const std::string command = argv[1];
+  if (command == "--help" || command == "-h") return usage(0);
   try {
     if (command == "testbed") return cmd_testbed();
     if (command == "run" || command == "report") {
@@ -1021,14 +1046,14 @@ int dispatch(int argc, char** argv) {
           options.output = value;
           ++i;
         } else if (flag == "--seed" && value) {
-          options.seed = std::strtoull(value, nullptr, 10);
+          const auto parsed = parse_integer(flag, value, 0, kMaxSeed);
+          if (!parsed) return usage(kExitBadValue);
+          options.seed = *parsed;
           ++i;
         } else if (flag == "--duration" && value) {
-          options.seconds = std::atoll(value);
-          if (options.seconds <= 0) {
-            std::cerr << "invalid value for --duration: " << value << '\n';
-            return usage(kExitBadValue);
-          }
+          const auto parsed = parse_integer(flag, value, 1, kMaxDurationS);
+          if (!parsed) return usage(kExitBadValue);
+          options.seconds = static_cast<std::int64_t>(*parsed);
           ++i;
         } else if (flag == "--retries" && value) {
           const auto parsed = parse_double(value, 0, 100);
@@ -1264,13 +1289,10 @@ int main(int argc, char** argv) {
   if (!fault_spec.empty()) {
     std::uint64_t fault_seed = 0;
     if (!fault_seed_text.empty()) {
-      char* end = nullptr;
-      fault_seed = std::strtoull(fault_seed_text.c_str(), &end, 10);
-      if (end == fault_seed_text.c_str() || *end != '\0') {
-        std::cerr << "invalid value for --io-faults-seed: "
-                  << fault_seed_text << '\n';
-        return kExitBadValue;
-      }
+      const auto parsed = parse_integer("--io-faults-seed",
+                                        fault_seed_text.c_str(), 0, kMaxSeed);
+      if (!parsed) return kExitBadValue;
+      fault_seed = *parsed;
     }
     try {
       util::io::install_faults(

@@ -3,7 +3,7 @@
 //
 //   peerscope_lint [--root DIR] [--rule NAME]... [--list-rules]
 //                  [--no-git] [--sarif FILE] [--fingerprints]
-//                  [--baseline FILE | --no-baseline]
+//                  [--baseline FILE | --no-baseline] [--help]
 //
 // Walks src/, tools/, bench/, tests/ and examples/ under the root and
 // prints one `file:line: [rule] message` diagnostic per violation.
@@ -27,6 +27,15 @@
 #include <string>
 
 #include "lint/lint.hpp"
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: peerscope_lint [--root DIR] [--rule NAME]... [--list-rules] "
+    "[--no-git] [--sarif FILE] [--fingerprints] "
+    "[--baseline FILE | --no-baseline] [--help]\n";
+
+}  // namespace
 
 int main(int argc, char** argv) {
   peerscope::lint::Options options;
@@ -80,11 +89,11 @@ int main(int argc, char** argv) {
                   << peerscope::lint::rule_description(rule) << '\n';
       }
       return 0;
+    } else if (flag == "--help") {
+      std::cout << kUsage;
+      return 0;
     } else {
-      std::cerr << "unknown flag: " << flag << '\n'
-                << "usage: peerscope_lint [--root DIR] [--rule NAME]... "
-                   "[--list-rules] [--no-git] [--sarif FILE] "
-                   "[--fingerprints] [--baseline FILE | --no-baseline]\n";
+      std::cerr << "unknown flag: " << flag << '\n' << kUsage;
       return 2;
     }
   }

@@ -2,16 +2,26 @@
 
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
-#include "bench/harness.hpp"
+#include "aware/paper.hpp"
+#include "aware/report.hpp"
 #include "exp/supervisor.hpp"
+#include "net/topology.hpp"
 #include "util/atomic_file.hpp"
+#include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace peerscope::tools {
 
 namespace {
 
-using namespace peerscope::bench;
+using aware::kPaperFig2Ratios;
+using aware::kPaperTable2;
+using aware::kPaperTable3;
+using aware::kPaperTable4;
 
 std::string md(double v, int precision = 1) {
   return util::TextTable::num(v, precision);
@@ -23,6 +33,14 @@ std::string md_opt(const std::optional<double>& v) {
 
 std::string md_paper(double v) {
   return v < 0 ? std::string{"–"} : md(v);
+}
+
+/// The Figure 2 ratio the paper reports for `app`.
+double paper_fig2_ratio(std::string_view app) {
+  for (const auto& paper : kPaperFig2Ratios) {
+    if (app == paper.app) return paper.ratio;
+  }
+  throw std::logic_error("reproduce: an application has no Figure 2 ratio");
 }
 
 /// Dash row fragment for an application whose run produced no data:
@@ -37,9 +55,6 @@ std::string missing_cells(int cells) {
 
 int reproduce(const ReproduceOptions& options) {
   const net::AsTopology topo = net::make_reference_topology();
-  BenchConfig cfg;
-  cfg.seconds = options.seconds;
-  cfg.seed = options.seed;
 
   // Specs [0..2] are the paper's three applications (report row order),
   // [3] the PPLive-Popular panel for Figure 2.
@@ -49,8 +64,8 @@ int reproduce(const ReproduceOptions& options) {
         p2p::SystemProfile::tvants(), p2p::SystemProfile::pplive_popular()}) {
     exp::RunSpec spec;
     spec.profile = std::move(profile);
-    spec.seed = cfg.seed;
-    spec.duration = util::SimTime::seconds(cfg.seconds);
+    spec.seed = options.seed;
+    spec.duration = util::SimTime::seconds(options.seconds);
     specs.push_back(std::move(spec));
   }
 
@@ -63,7 +78,7 @@ int reproduce(const ReproduceOptions& options) {
 
   std::cerr << "reproduce: running PPLive, SopCast, TVAnts, "
                "PPLive-Popular ("
-            << cfg.seconds << " s each, seed " << cfg.seed
+            << options.seconds << " s each, seed " << options.seed
             << (options.resume ? ", resuming" : "") << ")...\n";
   util::ThreadPool pool;
   const auto outcome = supervise_runs(topo, specs, pool, supervision);
@@ -90,8 +105,8 @@ int reproduce(const ReproduceOptions& options) {
   out << "# PeerScope reproduction report\n\n"
       << "Paper: *Network Awareness of P2P Live Streaming Applications* "
          "(IPDPS 2009).\n"
-      << "Configuration: " << cfg.seconds << " simulated seconds, seed "
-      << cfg.seed << ", Table I testbed, reference topology. Counts are "
+      << "Configuration: " << options.seconds << " simulated seconds, seed "
+      << options.seed << ", Table I testbed, reference topology. Counts are "
       << "scaled (see DESIGN.md §6); percentages and ratios compare "
       << "directly.\n";
 
@@ -213,17 +228,16 @@ int reproduce(const ReproduceOptions& options) {
          "the raw diagonal dominance.\n\n"
       << "| App | paper R | ours R | ours incl. LAN pairs |\n"
       << "|---|---|---|---|\n";
-  const char* fig2_apps[] = {"PPLive", "SopCast", "TVAnts"};
-  const double fig2_paper[] = {0.98, 0.2, 1.93};
   for (std::size_t i = 0; i < 3; ++i) {
+    const std::string paper_ratio = md(paper_fig2_ratio(app_name(i)), 2);
     if (!main_runs[i].ok()) {
-      out << "| " << fig2_apps[i] << " | " << md(fig2_paper[i], 2) << " |"
+      out << "| " << app_name(i) << " | " << paper_ratio << " |"
           << missing_cells(2) << '\n';
       continue;
     }
     const auto matrix =
         aware::as_traffic_matrix(main_runs[i].result->observations);
-    out << "| " << fig2_apps[i] << " | " << md(fig2_paper[i], 2) << " | "
+    out << "| " << app_name(i) << " | " << paper_ratio << " | "
         << md(matrix.intra_inter_ratio, 2) << " | "
         << md(matrix.intra_inter_ratio_with_lan, 2) << " |\n";
   }
