@@ -5,7 +5,9 @@
 // the planted weight, and switching a bias off must flatten B' to P'.
 #include <iostream>
 
+#include "aware/report.hpp"
 #include "bench/harness.hpp"
+#include "exp/runner.hpp"
 
 using namespace peerscope;
 using namespace peerscope::bench;

@@ -13,7 +13,9 @@
 #include <cmath>
 #include <iostream>
 
+#include "aware/report.hpp"
 #include "bench/harness.hpp"
+#include "exp/runner.hpp"
 
 using namespace peerscope;
 using namespace peerscope::bench;
@@ -163,7 +165,7 @@ int main() {
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const LevelOutcome& o = outcomes[i];
     for (std::size_t app = 0; app < 3; ++app) {
-      // Same thresholds bench_table4 checks on the clean run.
+      // Same thresholds as claim table4.bw_strong (aware/claims.hpp).
       if (!(o.bw_bprime[app] > 90 && o.bw_pprime[app] > 65)) {
         bw_survives = false;
       }
@@ -171,8 +173,9 @@ int main() {
     // Figure 2 ordering: TVAnts keeps a clear intra-AS preference and
     // stays the most network-aware application at every level. The
     // absolute SopCast < 1.5 threshold is a clean-reproduction check
-    // (bench_fig2); a ratio near 1 wobbles across the line once loss
-    // thins the byte counts, but the ordering itself is stable.
+    // (claim fig2.sopcast_no_intra_as); a ratio near 1 wobbles across
+    // the line once loss thins the byte counts, but the ordering itself
+    // is stable.
     if (!(o.as_ratio[2] > 1.5 && o.as_ratio[2] > o.as_ratio[1] &&
           o.as_ratio[2] > o.as_ratio[0])) {
       ordering_survives = false;

@@ -15,7 +15,9 @@
 // which application looks network-aware.
 #include <iostream>
 
+#include "aware/report.hpp"
 #include "bench/harness.hpp"
+#include "exp/runner.hpp"
 
 using namespace peerscope;
 using namespace peerscope::bench;

@@ -1,7 +1,7 @@
-// Shared bench-harness plumbing: runs the three applications at the
-// default reproduction scale and re-exports the paper's published
-// values (aware/paper.hpp) so every binary prints paper-vs-measured
-// rows.
+// Shared bench-harness plumbing: the environment knobs every bench
+// reads (BenchConfig), the metrics/trace/series/bench-JSON sidecar
+// sessions, and the paper's Table II-IV values (aware/paper.hpp) under
+// the `bench::` names perfbench/ reads.
 #pragma once
 
 #include <algorithm>
@@ -20,11 +20,7 @@
 
 #include <sys/resource.h>
 
-#include "aware/export.hpp"
 #include "aware/paper.hpp"
-#include "aware/report.hpp"
-#include "exp/runner.hpp"
-#include "net/topology.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -33,7 +29,6 @@
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace peerscope::bench {
 
@@ -70,17 +65,14 @@ inline std::uint64_t env_u64_or_die(const char* var, const char* text,
 /// Default reproduction scale (DESIGN.md §6): 300 simulated seconds,
 /// profile-default populations. Override via environment for quick
 /// runs: PEERSCOPE_BENCH_SECONDS, PEERSCOPE_BENCH_SEED; set
-/// PEERSCOPE_BENCH_OUTDIR to archive machine-readable CSVs of every
-/// regenerated table/figure; set PEERSCOPE_BENCH_FULL_SCALE (any
-/// value) to run each application at the paper's full observed-peer
-/// count (Table II: 181,729 / 4,057 / 550) with no count scaling.
-/// Malformed values abort with a usage message (exit 2) instead of
-/// running at a silently-mangled scale.
+/// PEERSCOPE_BENCH_FULL_SCALE (any value) to run bench_micro_engine on
+/// the paper-true 181,729-peer swarm. Malformed values abort with a
+/// usage message (exit 2) instead of running at a silently-mangled
+/// scale.
 struct BenchConfig {
   std::int64_t seconds = 300;
   std::uint64_t seed = 42;
   bool full_scale = false;
-  std::optional<std::filesystem::path> outdir;
 
   static BenchConfig from_env() {
     BenchConfig cfg;
@@ -94,10 +86,6 @@ struct BenchConfig {
       cfg.seed = detail::env_u64_or_die(
           "PEERSCOPE_BENCH_SEED", s,
           std::numeric_limits<std::uint64_t>::max());
-    }
-    if (const char* s = std::getenv("PEERSCOPE_BENCH_OUTDIR")) {
-      cfg.outdir = s;
-      std::filesystem::create_directories(*cfg.outdir);
     }
     return cfg;
   }
@@ -339,50 +327,9 @@ inline std::string fmt_opt(const std::optional<double>& v,
   return v ? fmt(*v, precision) : "-";
 }
 
-// The paper's published values (aware/paper.hpp), under the names the
-// benches and the benchmark use.
-using aware::kDash;
-using aware::kPaperFig2Ratios;
+// The paper's published tables under the names perfbench/ reads.
 using aware::kPaperTable2;
 using aware::kPaperTable3;
 using aware::kPaperTable4;
-using aware::PaperAsRatio;
-using aware::PaperAwareness;
-using aware::PaperSelfBias;
-using aware::PaperSummary;
-
-inline std::string paper_cell(double v, int precision = 1) {
-  return v < 0 ? "-" : fmt(v, precision);
-}
-
-/// Runs PPLive, SopCast and TVAnts concurrently; results ordered
-/// [pplive, sopcast, tvants]. With cfg.full_scale each application's
-/// background population is set to the paper's full observed-peer
-/// count (Table II's "observed total" column) — no count scaling;
-/// the calendar-queue engine + SoA peer state carry the 181,729-peer
-/// PPLive swarm directly.
-inline std::vector<exp::RunResult> run_three_apps(
-    const net::AsTopology& topo, const BenchConfig& cfg) {
-  std::vector<exp::RunSpec> specs;
-  for (auto profile :
-       {p2p::SystemProfile::pplive(), p2p::SystemProfile::sopcast(),
-        p2p::SystemProfile::tvants()}) {
-    exp::RunSpec spec;
-    spec.profile = std::move(profile);
-    if (cfg.full_scale) {
-      for (const PaperSummary& row : kPaperTable2) {
-        if (spec.profile.name == row.app) {
-          spec.profile.population.background_peers =
-              static_cast<std::size_t>(row.observed_total);
-        }
-      }
-    }
-    spec.seed = cfg.seed;
-    spec.duration = util::SimTime::seconds(cfg.seconds);
-    specs.push_back(std::move(spec));
-  }
-  util::ThreadPool pool;
-  return exp::run_experiments(topo, specs, pool);
-}
 
 }  // namespace peerscope::bench

@@ -1,6 +1,6 @@
 // The paper's published values (Tables II-IV and the Figure 2 ratios),
-// the one copy that `peerscope reproduce`, the benches and the
-// benchmark compare their measurements against.
+// the one copy that `peerscope reproduce` and the benchmark compare
+// their measurements against.
 #pragma once
 
 namespace peerscope::aware {

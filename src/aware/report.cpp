@@ -332,4 +332,9 @@ AsMatrix as_traffic_matrix(const ExperimentObservations& data) {
   return matrix;
 }
 
+AppReport app_report(const ExperimentObservations& data) {
+  return {summarize(data), self_bias(data), awareness_table(data),
+          geo_breakdown(data), as_traffic_matrix(data)};
+}
+
 }  // namespace peerscope::aware

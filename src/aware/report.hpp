@@ -110,4 +110,18 @@ struct AsMatrix {
 
 [[nodiscard]] AsMatrix as_traffic_matrix(const ExperimentObservations& data);
 
+// ------------------------------------------------------------ one application
+
+/// Everything Tables II-IV and Figures 1-2 report for one application:
+/// what `peerscope reproduce` renders and aware/claims.hpp checks.
+struct AppReport {
+  ExperimentSummary summary;
+  SelfBias bias;
+  std::vector<AwarenessRow> awareness;  // BW, AS, CC, NET, HOP
+  std::vector<GeoShare> geo;            // CN, HU, IT, FR, PL, *
+  AsMatrix matrix;
+};
+
+[[nodiscard]] AppReport app_report(const ExperimentObservations& data);
+
 }  // namespace peerscope::aware

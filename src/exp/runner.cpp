@@ -136,4 +136,19 @@ std::vector<RunResult> run_experiments(const net::AsTopology& topo,
   return results;
 }
 
+std::vector<RunSpec> reproduction_specs(std::uint64_t seed,
+                                        util::SimTime duration) {
+  std::vector<RunSpec> specs;
+  for (auto profile :
+       {p2p::SystemProfile::pplive(), p2p::SystemProfile::sopcast(),
+        p2p::SystemProfile::tvants(), p2p::SystemProfile::pplive_popular()}) {
+    RunSpec spec;
+    spec.profile = std::move(profile);
+    spec.seed = seed;
+    spec.duration = duration;
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
 }  // namespace peerscope::exp

@@ -2,8 +2,8 @@
 //
 // One RunSpec per (application, seed); run_experiments executes several
 // concurrently on a thread pool (each Swarm is fully self-contained),
-// which is how the bench binaries produce all three applications' data
-// in one pass.
+// which is how the benches produce several applications' data in one
+// pass.
 #pragma once
 
 #include <span>
@@ -95,5 +95,11 @@ class DiscoveryDegraded : public std::runtime_error {
 [[nodiscard]] std::vector<RunResult> run_experiments(
     const net::AsTopology& topo, std::span<const RunSpec> specs,
     util::ThreadPool& pool);
+
+/// The four runs `peerscope reproduce` makes: PPLive, SopCast and
+/// TVAnts (the report's row order), then PPLive-Popular for Figure 2's
+/// fourth panel.
+[[nodiscard]] std::vector<RunSpec> reproduction_specs(std::uint64_t seed,
+                                                      util::SimTime duration);
 
 }  // namespace peerscope::exp

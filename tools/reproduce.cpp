@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 
+#include "aware/claims.hpp"
 #include "aware/paper.hpp"
 #include "aware/report.hpp"
 #include "exp/supervisor.hpp"
@@ -51,6 +52,30 @@ std::string missing_cells(int cells) {
   return out;
 }
 
+/// One stderr line for the claims table, plus one line for each claim
+/// whose verdict is not the expected one.
+void print_claims(const std::vector<aware::Claim>& claims) {
+  std::size_t expected = 0, holding = 0, deviations = 0, still_failing = 0;
+  for (const auto& claim : claims) {
+    if (claim.deviation.empty()) {
+      ++expected;
+      if (claim.holds) ++holding;
+    } else {
+      ++deviations;
+      if (!claim.holds) ++still_failing;
+    }
+  }
+  std::cerr << "reproduce: claims: " << holding << " of " << expected
+            << " hold; " << still_failing << " of " << deviations
+            << " known deviations still fail\n";
+  for (const auto& claim : claims) {
+    if (claim.as_expected()) continue;
+    std::cerr << "reproduce: claim " << claim.id
+              << (claim.holds ? " holds, expected to fail: " : " fails: ")
+              << claim.statement << " [" << claim.value << "]\n";
+  }
+}
+
 }  // namespace
 
 int reproduce(const ReproduceOptions& options) {
@@ -58,16 +83,8 @@ int reproduce(const ReproduceOptions& options) {
 
   // Specs [0..2] are the paper's three applications (report row order),
   // [3] the PPLive-Popular panel for Figure 2.
-  std::vector<exp::RunSpec> specs;
-  for (auto profile :
-       {p2p::SystemProfile::pplive(), p2p::SystemProfile::sopcast(),
-        p2p::SystemProfile::tvants(), p2p::SystemProfile::pplive_popular()}) {
-    exp::RunSpec spec;
-    spec.profile = std::move(profile);
-    spec.seed = options.seed;
-    spec.duration = util::SimTime::seconds(options.seconds);
-    specs.push_back(std::move(spec));
-  }
+  const std::vector<exp::RunSpec> specs = exp::reproduction_specs(
+      options.seed, util::SimTime::seconds(options.seconds));
 
   exp::SupervisorConfig supervision;
   supervision.retries = options.retries;
@@ -95,8 +112,18 @@ int reproduce(const ReproduceOptions& options) {
     return 1;
   }
 
-  const auto* main_runs = outcome.runs.data();  // [0..2]
+  // Reports [0..2] of the three applications and the PPLive-Popular
+  // matrix; nullopt for a run that produced no data.
+  std::vector<std::optional<aware::AppReport>> reports(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& run = outcome.runs[i];
+    if (run.ok()) reports[i] = aware::app_report(run.result->observations);
+  }
   const auto& popular_run = outcome.runs[3];
+  std::optional<aware::AsMatrix> popular;
+  if (popular_run.ok()) {
+    popular = aware::as_traffic_matrix(popular_run.result->observations);
+  }
   const auto app_name = [&](std::size_t i) {
     return specs[i].profile.name;
   };
@@ -135,11 +162,12 @@ int reproduce(const ReproduceOptions& options) {
         << md(paper.peers_max, 0) << " | " << md(paper.contrib_rx_mean, 0)
         << " | " << md(paper.contrib_tx_mean, 0) << " | "
         << md(paper.observed_total, 0) << " |\n";
-    if (!main_runs[i].ok()) {
+    const auto& report = reports[i];
+    if (!report) {
       out << "| | ours |" << missing_cells(6) << '\n';
       continue;
     }
-    const auto s = aware::summarize(main_runs[i].result->observations);
+    const auto& s = report->summary;
     out << "| | ours | " << md(s.rx_kbps_mean, 0) << " / "
         << md(s.rx_kbps_max, 0) << " | " << md(s.tx_kbps_mean, 0) << " / "
         << md(s.tx_kbps_max, 0) << " | " << md(s.all_peers_mean, 0) << " / "
@@ -158,11 +186,12 @@ int reproduce(const ReproduceOptions& options) {
         << " | " << md(paper.contrib_bytes_pct, 2) << " | "
         << md(paper.all_peer_pct, 2) << " | " << md(paper.all_bytes_pct, 2)
         << " |\n";
-    if (!main_runs[i].ok()) {
+    const auto& report = reports[i];
+    if (!report) {
       out << "| | ours |" << missing_cells(4) << '\n';
       continue;
     }
-    const auto bias = aware::self_bias(main_runs[i].result->observations);
+    const auto& bias = report->bias;
     out << "| | ours | " << md(bias.contributors_peer_pct, 2) << " | "
         << md(bias.contributors_bytes_pct, 2) << " | "
         << md(bias.all_peers_peer_pct, 2) << " | "
@@ -173,15 +202,6 @@ int reproduce(const ReproduceOptions& options) {
   out << "\n## Table IV — network awareness\n\n"
       << "| Net | App | src | B′D | P′D | BD | PD | B′U | P′U | BU | PU |\n"
       << "|---|---|---|---|---|---|---|---|---|---|---|\n";
-  std::vector<std::optional<std::vector<aware::AwarenessRow>>> tables;
-  for (std::size_t i = 0; i < 3; ++i) {
-    if (main_runs[i].ok()) {
-      tables.emplace_back(
-          aware::awareness_table(main_runs[i].result->observations));
-    } else {
-      tables.emplace_back(std::nullopt);
-    }
-  }
   for (std::size_t entry = 0; entry < std::size(kPaperTable4); ++entry) {
     const auto& paper = kPaperTable4[entry];
     out << "| " << paper.metric << " | " << paper.app << " | paper | "
@@ -189,12 +209,12 @@ int reproduce(const ReproduceOptions& options) {
         << md_paper(paper.bd) << " | " << md_paper(paper.pd) << " | "
         << md_paper(paper.bpu) << " | " << md_paper(paper.ppu) << " | "
         << md_paper(paper.bu) << " | " << md_paper(paper.pu) << " |\n";
-    const auto& table = tables[entry % 3];
-    if (!table) {
+    const auto& report = reports[entry % 3];
+    if (!report) {
       out << "| | | ours |" << missing_cells(8) << '\n';
       continue;
     }
-    const auto& measured = (*table)[entry / 3];
+    const auto& measured = report->awareness[entry / 3];
     out << "| | | ours | " << md_opt(measured.download.b_prime_pct) << " | "
         << md_opt(measured.download.p_prime_pct) << " | "
         << md_opt(measured.download.b_pct) << " | "
@@ -209,13 +229,13 @@ int reproduce(const ReproduceOptions& options) {
   out << "\n## Figure 1 — geographical breakdown (percent)\n\n"
       << "| App | CC | peers | RX bytes | TX bytes |\n|---|---|---|---|---|\n";
   for (std::size_t i = 0; i < 3; ++i) {
-    if (!main_runs[i].ok()) {
+    const auto& report = reports[i];
+    if (!report) {
       out << "| " << app_name(i) << " |" << missing_cells(4) << '\n';
       continue;
     }
-    const auto& observations = main_runs[i].result->observations;
-    for (const auto& share : aware::geo_breakdown(observations)) {
-      out << "| " << observations.app << " | "
+    for (const auto& share : report->geo) {
+      out << "| " << app_name(i) << " | "
           << (share.cc.known() ? share.cc.to_string() : std::string{"*"})
           << " | " << md(share.peer_pct) << " | " << md(share.rx_bytes_pct)
           << " | " << md(share.tx_bytes_pct) << " |\n";
@@ -230,23 +250,21 @@ int reproduce(const ReproduceOptions& options) {
       << "|---|---|---|---|\n";
   for (std::size_t i = 0; i < 3; ++i) {
     const std::string paper_ratio = md(paper_fig2_ratio(app_name(i)), 2);
-    if (!main_runs[i].ok()) {
+    const auto& report = reports[i];
+    if (!report) {
       out << "| " << app_name(i) << " | " << paper_ratio << " |"
           << missing_cells(2) << '\n';
       continue;
     }
-    const auto matrix =
-        aware::as_traffic_matrix(main_runs[i].result->observations);
+    const auto& matrix = report->matrix;
     out << "| " << app_name(i) << " | " << paper_ratio << " | "
         << md(matrix.intra_inter_ratio, 2) << " | "
         << md(matrix.intra_inter_ratio_with_lan, 2) << " |\n";
   }
-  if (popular_run.ok()) {
-    const auto matrix =
-        aware::as_traffic_matrix(popular_run.result->observations);
+  if (popular) {
     out << "| PPLive-Popular | (strongest locality) | "
-        << md(matrix.intra_inter_ratio, 2) << " | "
-        << md(matrix.intra_inter_ratio_with_lan, 2) << " |\n";
+        << md(popular->intra_inter_ratio, 2) << " | "
+        << md(popular->intra_inter_ratio_with_lan, 2) << " |\n";
   } else {
     out << "| PPLive-Popular | (strongest locality) |" << missing_cells(2)
         << '\n';
@@ -263,6 +281,13 @@ int reproduce(const ReproduceOptions& options) {
     return 1;
   }
   std::cerr << "reproduce: wrote " << options.output << '\n';
+  // The claims need every run, so only a complete batch is checked.
+  const auto& pplive = reports[0];
+  const auto& sopcast = reports[1];
+  const auto& tvants = reports[2];
+  if (pplive && sopcast && tvants && popular) {
+    print_claims(aware::evaluate_claims(*pplive, *sopcast, *tvants, *popular));
+  }
   return outcome.complete() ? 0 : kExitPartialSuccess;
 }
 

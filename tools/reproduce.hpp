@@ -8,6 +8,11 @@
 // process exits with kExitPartialSuccess. Completed runs are journaled
 // next to the output file so `--resume` after a crash skips them and
 // still produces a byte-identical report.
+//
+// After a complete batch the same statistics go through the claims
+// table (aware/claims.hpp): stderr gets one summary line, plus one line
+// per claim whose verdict is not the expected one. Claims change
+// neither the report nor the exit code.
 #pragma once
 
 #include <cstdint>
