@@ -27,8 +27,6 @@ exp::RunSpec base_spec(const BenchConfig& cfg) {
 }  // namespace
 
 int main() {
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
 

@@ -112,9 +112,6 @@ LevelOutcome analyse(const std::vector<exp::RunResult>& results,
 }  // namespace
 
 int main() {
-  bench::BenchJsonSession json_session{"degradation"};
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   std::cout << "=== Degradation sweep: Table IV BW row + Figure 2 ratios "

@@ -128,9 +128,6 @@ ScenarioOutcome analyse(const std::vector<exp::RunResult>& results) {
 }  // namespace
 
 int main() {
-  bench::BenchJsonSession json_session{"discovery"};
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   std::cout << "=== Discovery resilience: Figure 2 ratios under tracker "

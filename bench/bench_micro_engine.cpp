@@ -1,18 +1,14 @@
 // bench_micro_engine — event-core throughput, isolated from the rest
 // of the simulator.
 //
-// Replays a synthetic swarm-shaped workload (50k peers by default; the
-// paper-true 181,729-peer swarm under PEERSCOPE_BENCH_FULL_SCALE)
-// through sim::Engine (calendar queue + slab event pool with inline
-// callable storage) and prints events/sec.
+// Replays a synthetic 50k-peer swarm-shaped workload through
+// sim::Engine (calendar queue + slab event pool with inline callable
+// storage) and prints events/sec.
 //
 // The workload mimics what the swarm actually schedules: per-peer tick
 // chains, fan-out request events with 24+-byte captures, and a
-// cancellation stream. The committed perf trajectory pins the number.
-//
-//   PEERSCOPE_BENCH_JSON=1  writes bench_micro_engine.json
-//                           (peerscope.bench schema) for the
-//                           trajectory gate.
+// cancellation stream. The paper-true 181,729-peer end-to-end run is
+// perfbench's `fullscale` workload.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,10 +28,8 @@ using peerscope::util::SimTime;
 // mutates per-peer state and fans out two request events with
 // jittered sub-second delays, one of which is sometimes cancelled —
 // the pending-set size and capture shapes of a real swarm run,
-// without the swarm. The default 50k-peer swarm keeps the pending set
-// at the scale the engine targets (a 2k-peer set fits in L2 and
-// flatters it); PEERSCOPE_BENCH_FULL_SCALE runs the paper-true
-// Asian-peak swarm.
+// without the swarm. The 50k-peer swarm keeps the pending set at the
+// scale the engine targets (a 2k-peer set fits in L2 and flatters it).
 struct WorkloadSpec {
   int peers = 50'000;
   SimTime horizon = SimTime::seconds(20);
@@ -113,24 +107,14 @@ int main() {
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
   WorkloadSpec spec;
   spec.seed = cfg.seed;
-  if (cfg.full_scale) {
-    // The paper's Asian-peak PPLive swarm (Table II), no count scaling.
-    spec.peers = 181'729;
-    spec.horizon = SimTime::seconds(10);
-  }
 
   std::printf(
-      "bench_micro_engine -- event-core throughput (%s, %d peers, "
-      "%.0fs horizon)\n",
-      cfg.full_scale ? "paper-true Asian-peak swarm" : "reference spec",
+      "bench_micro_engine -- event-core throughput (reference spec, %d "
+      "peers, %.0fs horizon)\n",
       spec.peers, spec.horizon.seconds());
 
-  WorkloadResult result;
-  {
-    bench::BenchJsonSession json{"bench_micro_engine"};
-    Workload workload{spec};
-    result = workload.run();
-  }
+  Workload workload{spec};
+  const WorkloadResult result = workload.run();
   std::printf("  %12s %9s %14s\n", "events", "wall_s", "events/s");
   std::printf("  %12llu %9.3f %14.0f\n",
               static_cast<unsigned long long>(result.events), result.wall_s,

@@ -2,7 +2,6 @@
 // simulated seconds per wall second each application profile achieves.
 #include <benchmark/benchmark.h>
 
-#include "bench/harness.hpp"
 #include "exp/testbed.hpp"
 #include "p2p/swarm.hpp"
 
@@ -49,20 +48,4 @@ BENCHMARK(BM_SwarmPplive)->Arg(30)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN with the harness sessions wrapped around the
-// benchmark loop, so PEERSCOPE_BENCH_JSON / _SERIES capture the swarm
-// runs for the CI trajectory gate. All sessions are inert when their
-// variables are unset — default output matches BENCHMARK_MAIN exactly.
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  {
-    bench::BenchJsonSession json_session{"bench_micro_swarm"};
-    bench::MetricsSession metrics_session;
-    bench::TraceSession trace_session;
-    bench::SeriesSession series_session;
-    ::benchmark::RunSpecifiedBenchmarks();
-  }
-  ::benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

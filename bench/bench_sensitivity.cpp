@@ -19,8 +19,6 @@ std::string pm(const util::OnlineStats& s) {
 }  // namespace
 
 int main() {
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   const std::uint64_t seeds[] = {cfg.seed,     cfg.seed + 1, cfg.seed + 2,

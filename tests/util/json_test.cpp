@@ -13,7 +13,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "bench/harness.hpp"
 #include "exp/journal.hpp"
 #include "exp/status.hpp"
 #include "obs/trace.hpp"
@@ -128,25 +127,6 @@ TEST(Json, EveryPrefixOfAStatusDocReadsNulloptOrExact) {
       EXPECT_EQ(cut->runs[i].eta_s, whole->runs[i].eta_s);
     }
   }
-}
-
-TEST(Json, EveryPrefixOfABenchDocReadsNulloptOrExact) {
-  const std::vector<obs::SpanAttribution> phases = {
-      {"run.PPLive", "run.PPLive", 1, 81232941, 7101607},
-      {"run.PPLive/\"odd\"\\path]}", "run.PPLive", 2, 71908592, 1}};
-  const std::string doc =
-      bench::bench_json("bench_table2", 12.5, 2'500'000, 65536, phases);
-  expect_prefixes_never_lie(doc, "schema", string_field);
-  expect_prefixes_never_lie(doc, "bench", string_field);
-  for (const char* key :
-       {"wall_s", "events_executed", "events_per_s", "peak_rss_kb"}) {
-    expect_prefixes_never_lie(doc, key, number_field);
-  }
-  expect_prefixes_never_lie(doc, "phases", object_elements);
-  const auto rows = object_elements(doc, "phases");
-  ASSERT_TRUE(rows.has_value());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ(string_field((*rows)[1], "path"), phases[1].path);
 }
 
 TEST(Json, EveryPrefixOfATraceLineReadsNulloptOrExact) {

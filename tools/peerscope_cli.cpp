@@ -125,27 +125,17 @@
 // sustained violation cancels the run, dumps the flight recorder
 // (journaled runs), and exits 10.
 //
-// bench-diff: `peerscope bench-diff COMMITTED FRESH [--budget-pct P]`
-// diffs a fresh PEERSCOPE_BENCH_JSON document against the committed
-// bench/trajectory/BENCH_<name>.json snapshot. A wall-time increase
-// or events/sec drop beyond the budget (default 15%) exits 9 — the
-// CI perf gate, overridable only via the documented
-// `perf-regression-ok` PR label.
-//
-// bench-trajectory: `peerscope bench-trajectory PATH...` renders
-// bench snapshots (files, or a directory holding BENCH_*.json) as a
-// markdown table — what CI appends to $GITHUB_STEP_SUMMARY.
-//
 // Exit codes: 0 success, 1 runtime error, 2 usage error,
 //             3 unknown application, 4 invalid flag value (including
-//               a --seed or --duration that is not a whole integer),
+//               an integer flag that is not a whole integer),
 //             5 partial success (some supervised runs produced no
 //               result; the report marks them), 6 bad capture
 //               directory (analyze), 7 bad trace file
 //               (trace-summary: unreadable, wrong schema, or no
 //               salvageable events), 8 degraded (the run completed
 //               but a discovery re-join missed --rejoin-deadline),
-//             9 bench regression (bench-diff: past --budget-pct).
+//             10 SLO violation (the watchdog cancelled a supervised
+//               run).
 
 #include <algorithm>
 #include <charconv>
@@ -164,7 +154,6 @@
 
 #include "aware/observation.hpp"
 #include "aware/report.hpp"
-#include "bench_gate.hpp"
 #include "exp/capture.hpp"
 #include "exp/metadata.hpp"
 #include "exp/runner.hpp"
@@ -206,11 +195,6 @@ constexpr int kExitBadTrace = 7;
 // SLO (exp::DiscoveryDegraded): distinct from 1 so the CI outage smoke
 // can tell "degraded as designed" from a genuine crash.
 constexpr int kExitDegraded = 8;
-// bench-diff found a wall-time or events/sec regression past the
-// budget: distinct from 1 so the CI bench gate (and its
-// deliberate-regression dry run) can assert "the gate fired" rather
-// than "something crashed".
-constexpr int kExitBenchRegression = 9;
 // The SLO watchdog cancelled a run after a sustained violation of a
 // declared objective (events/s floor, sim-time stall, rejoin p99
 // ceiling): distinct from 1 and from 8 so the CI watch smoke can
@@ -231,8 +215,6 @@ int usage(int code = kExitUsage) {
   peerscope trace-summary PATH [--top N] [--deterministic]
   peerscope watch STATUS.json [--once] [--interval-ms N]
   peerscope timeline SERIES.psts [--csv] [--deterministic] [--salvage]
-  peerscope bench-diff COMMITTED FRESH [--budget-pct P]
-  peerscope bench-trajectory PATH...
 
 supervision: --retries N  --deadline S  --resume
              --watch-status PATH  (publish live status.json for `watch`)
@@ -256,7 +238,6 @@ global flags: --metrics PATH   (write metrics.json sidecar at exit)
 exit codes: 0 ok, 1 runtime error, 2 usage, 3 unknown app, 4 bad value,
             5 partial success, 6 bad capture directory, 7 bad trace file,
             8 degraded (discovery re-join missed --rejoin-deadline),
-            9 bench regression (bench-diff past --budget-pct),
             10 SLO violation (watchdog cancelled a supervised run)
 
 apps: pplive | sopcast | tvants | pplive-popular | napawine-proto
@@ -299,11 +280,12 @@ constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 constexpr auto kMaxDurationS =
     static_cast<std::uint64_t>(util::SimTime::max().ns() / 1'000'000'000);
 
-/// Strict integer parse for --seed and --duration (run, report and
-/// reproduce): the whole token must be base-10 digits with a value in
-/// [lo, hi]. Otherwise prints the diagnostic and returns nullopt
-/// (-> exit 4), so `--seed banana` cannot silently become seed 0 nor
-/// `--duration 5x` a 5 s run.
+/// Strict integer parse for every integer flag (--seed, --duration,
+/// --retries, --flash-crowd, --top, --interval-ms, --io-faults-seed):
+/// the whole token must be base-10 digits with a value in [lo, hi].
+/// Otherwise prints the diagnostic and returns nullopt (-> exit 4), so
+/// `--seed banana` cannot silently become seed 0, `--duration 5x` a
+/// 5 s run, nor `--flash-crowd 2.5` two arrivals.
 std::optional<std::uint64_t> parse_integer(std::string_view flag,
                                            const char* text, std::uint64_t lo,
                                            std::uint64_t hi) {
@@ -360,6 +342,19 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
       target = *parsed;
       return true;
     };
+    // Integer knobs: the same contract through parse_integer.
+    auto integer = [&](std::uint64_t lo,
+                       std::uint64_t hi) -> std::optional<std::uint64_t> {
+      const char* v = value();
+      if (!v) {
+        std::cerr << flag << " needs a value\n";
+        err = kExitUsage;
+        return std::nullopt;
+      }
+      const auto parsed = parse_integer(flag, v, lo, hi);
+      if (!parsed) err = kExitBadValue;
+      return parsed;
+    };
     if (flag == "--app") {
       const char* name = value();
       if (!name) {
@@ -374,24 +369,14 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
       }
       args.profile = *profile;
       have_app = true;
-    } else if (flag == "--seed" || flag == "--duration") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      const bool seed = flag == "--seed";
-      const auto parsed = seed ? parse_integer(flag, v, 0, kMaxSeed)
-                               : parse_integer(flag, v, 1, kMaxDurationS);
-      if (!parsed) {
-        err = kExitBadValue;
-        return std::nullopt;
-      }
-      if (seed) {
-        args.seed = *parsed;
-      } else {
-        args.duration_s = static_cast<std::int64_t>(*parsed);
-      }
+    } else if (flag == "--seed") {
+      const auto parsed = integer(0, kMaxSeed);
+      if (!parsed) return std::nullopt;
+      args.seed = *parsed;
+    } else if (flag == "--duration") {
+      const auto parsed = integer(1, kMaxDurationS);
+      if (!parsed) return std::nullopt;
+      args.duration_s = static_cast<std::int64_t>(*parsed);
     } else if (flag == "--out") {
       const char* v = value();
       if (!v) {
@@ -404,17 +389,8 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
     } else if (flag == "--csv") {
       args.csv = true;
     } else if (flag == "--retries") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << "--retries needs a value\n";
-        return std::nullopt;
-      }
-      const auto parsed = parse_double(v, 0, 100);
-      if (!parsed || *parsed != static_cast<int>(*parsed)) {
-        std::cerr << "invalid value for --retries: " << v << '\n';
-        err = kExitBadValue;
-        return std::nullopt;
-      }
+      const auto parsed = integer(0, 100);
+      if (!parsed) return std::nullopt;
       args.retries = static_cast<int>(*parsed);
     } else if (flag == "--deadline") {
       double s = 0;
@@ -504,9 +480,9 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
       args.discovery.nat.enabled = true;
       args.discovery.nat.symmetric_fraction = f;
     } else if (flag == "--flash-crowd") {
-      double n = 0;
-      if (!numeric(1.0, 1e6, n)) return std::nullopt;
-      args.discovery.flash_crowd_arrivals = static_cast<int>(n);
+      const auto n = integer(1, 1'000'000);
+      if (!n) return std::nullopt;
+      args.discovery.flash_crowd_arrivals = static_cast<int>(*n);
     } else if (flag == "--flash-crowd-at") {
       double s = 0;
       if (!numeric(0.0, 1e6, s)) return std::nullopt;
@@ -857,7 +833,7 @@ int cmd_report(const RunArgs& args) {
   return 0;
 }
 
-// Profiles a trace.json written by --trace / PEERSCOPE_BENCH_TRACE:
+// Profiles a trace.json written by --trace:
 // per-span-path self/total wall-time attribution, hottest first. Torn
 // lines are salvaged with a note; an unreadable file, a foreign
 // schema, or a trace with nothing salvageable is kExitBadTrace.
@@ -980,68 +956,6 @@ int cmd_timeline(const std::filesystem::path& path, bool csv,
   return 0;
 }
 
-// The CI perf gate: fresh bench JSON vs the committed trajectory
-// snapshot. Within budget -> 0, regression -> kExitBenchRegression,
-// unreadable/foreign input -> 1.
-int cmd_bench_diff(const std::filesystem::path& committed,
-                   const std::filesystem::path& fresh, double budget_pct) {
-  tools::BenchSnapshot base;
-  tools::BenchSnapshot now;
-  try {
-    base = tools::read_bench_snapshot(committed);
-    now = tools::read_bench_snapshot(fresh);
-  } catch (const std::exception& error) {
-    std::cerr << "bench-diff: " << error.what() << '\n';
-    return 1;
-  }
-  if (base.bench != now.bench) {
-    std::cerr << "bench-diff: snapshot mismatch: \"" << base.bench
-              << "\" vs \"" << now.bench << "\"\n";
-    return 1;
-  }
-  std::cout << tools::render_bench_diff(base, now, budget_pct);
-  return tools::diff_snapshots(base, now).regressed(budget_pct)
-             ? kExitBenchRegression
-             : 0;
-}
-
-// Markdown table over snapshot files (a directory argument expands to
-// its BENCH_*.json files, sorted by name): the $GITHUB_STEP_SUMMARY
-// payload.
-int cmd_bench_trajectory(const std::vector<std::filesystem::path>& paths) {
-  std::vector<std::filesystem::path> files;
-  for (const auto& path : paths) {
-    if (std::filesystem::is_directory(path)) {
-      for (const auto& entry : std::filesystem::directory_iterator(path)) {
-        const std::string name = entry.path().filename().string();
-        if (entry.is_regular_file() && name.rfind("BENCH_", 0) == 0 &&
-            entry.path().extension() == ".json") {
-          files.push_back(entry.path());
-        }
-      }
-    } else {
-      files.push_back(path);
-    }
-  }
-  std::sort(files.begin(), files.end());
-  std::vector<tools::BenchSnapshot> rows;
-  rows.reserve(files.size());
-  try {
-    for (const auto& file : files) {
-      rows.push_back(tools::read_bench_snapshot(file));
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "bench-trajectory: " << error.what() << '\n';
-    return 1;
-  }
-  if (rows.empty()) {
-    std::cerr << "bench-trajectory: no BENCH_*.json snapshots found\n";
-    return 1;
-  }
-  std::cout << tools::render_trajectory_markdown(rows);
-  return 0;
-}
-
 int dispatch(int argc, char** argv) {
   if (argc < 2) return usage(kExitUsage);
   const std::string command = argv[1];
@@ -1093,11 +1007,8 @@ int dispatch(int argc, char** argv) {
           options.seconds = static_cast<std::int64_t>(*parsed);
           ++i;
         } else if (flag == "--retries" && value) {
-          const auto parsed = parse_double(value, 0, 100);
-          if (!parsed || *parsed != static_cast<int>(*parsed)) {
-            std::cerr << "invalid value for --retries: " << value << '\n';
-            return usage(kExitBadValue);
-          }
+          const auto parsed = parse_integer(flag, value, 0, 100);
+          if (!parsed) return usage(kExitBadValue);
           options.retries = static_cast<int>(*parsed);
           ++i;
         } else if (flag == "--deadline" && value) {
@@ -1125,11 +1036,8 @@ int dispatch(int argc, char** argv) {
         const std::string arg = argv[i];
         const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
         if (arg == "--top" && value) {
-          const auto parsed = parse_double(value, 1, 10'000);
-          if (!parsed || *parsed != static_cast<int>(*parsed)) {
-            std::cerr << "invalid value for --top: " << value << '\n';
-            return usage(kExitBadValue);
-          }
+          const auto parsed = parse_integer(arg, value, 1, 10'000);
+          if (!parsed) return usage(kExitBadValue);
           top_n = static_cast<std::size_t>(*parsed);
           ++i;
         } else if (arg == "--deterministic") {
@@ -1157,12 +1065,8 @@ int dispatch(int argc, char** argv) {
         if (arg == "--once") {
           once = true;
         } else if (arg == "--interval-ms" && value) {
-          const auto parsed = parse_double(value, 10, 60'000);
-          if (!parsed) {
-            std::cerr << "invalid value for --interval-ms: " << value
-                      << '\n';
-            return usage(kExitBadValue);
-          }
+          const auto parsed = parse_integer(arg, value, 10, 60'000);
+          if (!parsed) return usage(kExitBadValue);
           interval = std::chrono::milliseconds{static_cast<int>(*parsed)};
           ++i;
         } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
@@ -1204,50 +1108,6 @@ int dispatch(int argc, char** argv) {
       }
       return cmd_timeline(path, csv, deterministic, salvage);
     }
-    if (command == "bench-diff") {
-      std::vector<std::filesystem::path> paths;
-      double budget_pct = 15.0;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--budget-pct" && value) {
-          const auto parsed = parse_double(value, 0.0, 1'000.0);
-          if (!parsed) {
-            std::cerr << "invalid value for --budget-pct: " << value << '\n';
-            return usage(kExitBadValue);
-          }
-          budget_pct = *parsed;
-          ++i;
-        } else if (!arg.empty() && arg[0] != '-') {
-          paths.emplace_back(arg);
-        } else {
-          std::cerr << "unknown flag: " << arg << '\n';
-          return usage(kExitUsage);
-        }
-      }
-      if (paths.size() != 2) {
-        std::cerr << "bench-diff needs COMMITTED and FRESH paths\n";
-        return usage(kExitUsage);
-      }
-      return cmd_bench_diff(paths[0], paths[1], budget_pct);
-    }
-    if (command == "bench-trajectory") {
-      std::vector<std::filesystem::path> paths;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (!arg.empty() && arg[0] != '-') {
-          paths.emplace_back(arg);
-        } else {
-          std::cerr << "unknown flag: " << arg << '\n';
-          return usage(kExitUsage);
-        }
-      }
-      if (paths.empty()) {
-        std::cerr << "bench-trajectory needs at least one path\n";
-        return usage(kExitUsage);
-      }
-      return cmd_bench_trajectory(paths);
-    }
     std::cerr << "unknown command: " << command << '\n';
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
@@ -1266,7 +1126,7 @@ int main(int argc, char** argv) {
   std::filesystem::path metrics_path;
   std::filesystem::path trace_path;
   std::filesystem::path series_path;
-  double series_interval_s = 10.0;
+  std::optional<double> series_interval_s;
   // Storage fault injection: flag wins over env so a chaos sweep can
   // set a baseline schedule and individual cells can override it.
   const char* faults_env = std::getenv("PEERSCOPE_IO_FAULTS");
@@ -1305,7 +1165,7 @@ int main(int argc, char** argv) {
                   << '\n';
         return kExitBadValue;
       }
-      series_interval_s = *parsed;
+      series_interval_s = parsed;
     } else if (std::strcmp(argv[i], "--io-faults") == 0) {
       if (i + 1 >= argc) {
         std::cerr << "--io-faults needs a value\n";
@@ -1321,6 +1181,10 @@ int main(int argc, char** argv) {
     } else {
       filtered.push_back(argv[i]);
     }
+  }
+  if (series_interval_s && series_path.empty()) {
+    std::cerr << "--series-interval requires --series\n";
+    return usage(kExitUsage);
   }
 
   if (!fault_spec.empty()) {
@@ -1345,7 +1209,8 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) obs::install(&registry);
   obs::TraceRecorder recorder;
   if (!trace_path.empty()) obs::install_tracer(&recorder);
-  obs::TimeseriesRecorder series{seconds_to_simtime(series_interval_s)};
+  obs::TimeseriesRecorder series{
+      seconds_to_simtime(series_interval_s.value_or(10.0))};
   if (!series_path.empty()) obs::install_series(&series);
   int code = dispatch(static_cast<int>(filtered.size()), filtered.data());
   if (!series_path.empty()) {
