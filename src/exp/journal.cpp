@@ -1,11 +1,13 @@
 #include "exp/journal.hpp"
 
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "util/atomic_file.hpp"
-#include "util/crc32c.hpp"
+#include "util/framing.hpp"
 #include "util/io_faults.hpp"
 #include "util/json.hpp"
 
@@ -14,8 +16,6 @@ namespace peerscope::exp {
 namespace {
 
 namespace json = util::json;
-
-constexpr const char* kResultHeader = "peerscope-runresult 1";
 
 /// FNV-1a over a canonical byte serialization; stable across builds
 /// (no type punning of doubles through text formatting).
@@ -44,6 +44,21 @@ std::string hex16(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
+}
+
+/// Sanitized id + 8-hex-digit fingerprint: filesystem-safe and
+/// collision-proof, shared by every per-spec artifact in journal.d.
+std::string spec_file_stem(const std::string& id) {
+  std::string safe;
+  safe.reserve(id.size());
+  for (const char c : id) {
+    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '-' || c == '.';
+    safe += keep ? c : '_';
+  }
+  Fingerprint fp;
+  for (const char c : id) fp.add_u64(static_cast<unsigned char>(c));
+  return safe + "-" + hex16(fp.value()).substr(0, 8);
 }
 
 }  // namespace
@@ -110,25 +125,6 @@ std::string spec_id(const RunSpec& spec) {
   }
   return id;
 }
-
-namespace {
-
-/// Sanitized id + 8-hex-digit fingerprint: filesystem-safe and
-/// collision-proof, shared by every per-spec artifact in journal.d.
-std::string spec_file_stem(const std::string& id) {
-  std::string safe;
-  safe.reserve(id.size());
-  for (const char c : id) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '.';
-    safe += keep ? c : '_';
-  }
-  Fingerprint fp;
-  for (const char c : id) fp.add_u64(static_cast<unsigned char>(c));
-  return safe + "-" + hex16(fp.value()).substr(0, 8);
-}
-
-}  // namespace
 
 std::string spec_artifact_name(const std::string& id) {
   return spec_file_stem(id) + ".result";
@@ -198,188 +194,188 @@ std::map<std::string, JournalEntry> journal_replay(
   return entries;
 }
 
-// ---------------------------------------------------------------------
-// RunResult blob: versioned text, integer-exact, atomically written.
+// RunResult blob: counter_fields, probe_fields and observation_fields
+// each list a frame's fields once, for the writer and the reader alike.
+
+namespace {
+
+constexpr util::framing::FrameFormat kRunResultFormat{
+    .magic = kRunResultMagic,
+    .version = kRunResultVersion,
+};
+
+/// A field's wire form: net types as their integer value, bools as one
+/// byte, integers as themselves.
+std::uint32_t wire(net::Ipv4Addr addr) { return addr.bits(); }
+std::uint32_t wire(net::AsId as) { return as.value(); }
+std::uint16_t wire(net::CountryCode cc) { return cc.packed(); }
+std::uint8_t wire(bool flag) { return flag; }
+template <std::integral T>
+T wire(T value) { return value; }
+
+/// Reads fields back from their wire form. A frame too short for its
+/// fields, or a bool byte other than 0 or 1, clears `ok`; `rest` is
+/// what follows the fields.
+struct Get {
+  std::string_view rest;
+  bool ok = true;
+
+  template <typename T>
+  T take() {
+    ok = ok && rest.size() >= sizeof(T);
+    if (!ok) return T{};
+    const char* ptr = rest.data();
+    rest.remove_prefix(sizeof(T));
+    return util::framing::get<T>(ptr);
+  }
+
+  template <typename T>
+  void operator()(T& field) {
+    const auto value = take<decltype(wire(field))>();
+    if constexpr (std::is_same_v<T, bool>) {
+      ok = ok && value <= 1;
+      field = value != 0;
+    } else if constexpr (std::is_same_v<T, net::CountryCode>) {
+      field = {static_cast<char>(value >> 8), static_cast<char>(value & 0xff)};
+    } else {
+      field = T{value};
+    }
+  }
+};
+
+static_assert(sizeof(p2p::Swarm::Counters) == 26 * sizeof(std::uint64_t),
+              "every counter needs its slot in counter_fields");
+
+/// The run frame's 26 counters, in declaration order.
+template <typename Counters, typename Field>
+void counter_fields(Counters& c, Field&& field) {
+  auto& d = c.discovery;
+  for (auto* counter :
+       {&c.chunks_delivered, &c.chunks_duplicate, &c.chunks_uploaded,
+        &c.requests_refused, &c.contacts, &c.timeouts, &c.contact_failures,
+        &c.probe_crashes, &c.chunks_retried, &c.partners_blacklisted,
+        &d.tracker_queries, &d.tracker_failures, &d.dht_lookups, &d.dht_hops,
+        &d.dht_hop_timeouts, &d.dht_evictions, &d.gossip_exchanges,
+        &d.gossip_partitions, &d.failovers, &d.recoveries, &d.joins_ok,
+        &d.join_retries, &d.nat_direct, &d.nat_relayed, &d.nat_blocked,
+        &d.flash_arrivals}) {
+    field(*counter);
+  }
+}
+
+/// A probe frame's fields; the label follows them.
+template <typename Probe, typename Field>
+void probe_fields(Probe& probe, Field&& field) {
+  field(probe.addr);
+  field(probe.as);
+  field(probe.cc);
+  field(probe.high_bw);
+}
+
+/// An observation frame's fields after its vantage index, in
+/// declaration order.
+template <typename Observation, typename Field>
+void observation_fields(Observation& o, Field&& field) {
+  for (auto* addr : {&o.probe, &o.remote}) field(*addr);
+  for (auto* as : {&o.probe_as, &o.remote_as}) field(*as);
+  for (auto* cc : {&o.probe_cc, &o.remote_cc}) field(*cc);
+  for (auto* flag : {&o.same_subnet, &o.remote_is_napa}) field(*flag);
+  for (auto* volume : {&o.rx_pkts, &o.rx_bytes, &o.tx_pkts, &o.tx_bytes,
+                       &o.rx_video_pkts, &o.rx_video_bytes, &o.tx_video_pkts,
+                       &o.tx_video_bytes}) {
+    field(*volume);
+  }
+  field(o.min_rx_video_ipg_ns);
+  for (auto& ipg : o.smallest_rx_ipgs) field(ipg);
+  field(o.rx_ipg_samples);
+  field(o.rx_hops);
+}
+
+}  // namespace
 
 void write_run_result(const std::filesystem::path& path,
                       const RunResult& result) {
   const auto& data = result.observations;
-  std::ostringstream out;
-  out << kResultHeader << '\n';
-  out << "app " << data.app << '\n';
-  out << "duration_ns " << data.duration.ns() << '\n';
-  const auto& c = result.counters;
-  out << "counters " << c.chunks_delivered << ' ' << c.chunks_duplicate
-      << ' ' << c.chunks_uploaded << ' ' << c.requests_refused << ' '
-      << c.contacts << ' ' << c.timeouts << ' ' << c.contact_failures << ' '
-      << c.probe_crashes << ' ' << c.chunks_retried << ' '
-      << c.partners_blacklisted << '\n';
-  // Discovery counters ride in their own optional line so blobs from
-  // discovery-free runs stay byte-identical to the pre-discovery
-  // format (and old readers that reject unknown keys never see it).
-  if (c.discovery.any()) {
-    const auto& d = c.discovery;
-    out << "dcounters " << d.tracker_queries << ' ' << d.tracker_failures
-        << ' ' << d.dht_lookups << ' ' << d.dht_hops << ' '
-        << d.dht_hop_timeouts << ' ' << d.dht_evictions << ' '
-        << d.gossip_exchanges << ' ' << d.gossip_partitions << ' '
-        << d.failovers << ' ' << d.recoveries << ' ' << d.joins_ok << ' '
-        << d.join_retries << ' ' << d.nat_direct << ' ' << d.nat_relayed
-        << ' ' << d.nat_blocked << ' ' << d.flash_arrivals << '\n';
-  }
+  std::uint64_t frames = 1 + data.probes.size();
+  for (const auto& observations : data.per_probe) frames += observations.size();
+  std::string blob;
+  // Read strictly, so no sync markers: they would buy nothing.
+  util::framing::FrameEncoder encoder{kRunResultFormat, blob, frames, 0};
+  std::string frame;
+  const auto field = [&frame](const auto& value) {
+    util::framing::put(frame, wire(value));
+  };
+
+  field(data.duration.ns());
+  counter_fields(result.counters, field);
+  field(static_cast<std::uint64_t>(data.probes.size()));
+  encoder.append(frame += data.app);
   for (const auto& probe : data.probes) {
-    out << "probe " << probe.addr.bits() << ' ' << probe.as.value() << ' '
-        << probe.cc.packed() << ' ' << (probe.high_bw ? 1 : 0) << ' '
-        << probe.label << '\n';
+    frame.clear();
+    probe_fields(probe, field);
+    encoder.append(frame += probe.label);
   }
   for (std::size_t i = 0; i < data.per_probe.size(); ++i) {
-    out << "vantage " << i << ' ' << data.per_probe[i].size() << '\n';
     for (const auto& o : data.per_probe[i]) {
-      out << "o " << o.probe.bits() << ' ' << o.remote.bits() << ' '
-          << o.probe_as.value() << ' ' << o.remote_as.value() << ' '
-          << o.probe_cc.packed() << ' ' << o.remote_cc.packed() << ' '
-          << (o.same_subnet ? 1 : 0) << ' ' << (o.remote_is_napa ? 1 : 0)
-          << ' ' << o.rx_pkts << ' ' << o.rx_bytes << ' ' << o.tx_pkts
-          << ' ' << o.tx_bytes << ' ' << o.rx_video_pkts << ' '
-          << o.rx_video_bytes << ' ' << o.tx_video_pkts << ' '
-          << o.tx_video_bytes << ' ' << o.min_rx_video_ipg_ns;
-      for (const auto ipg : o.smallest_rx_ipgs) out << ' ' << ipg;
-      out << ' ' << o.rx_ipg_samples << ' ' << o.rx_hops << '\n';
+      frame.clear();
+      field(static_cast<std::uint32_t>(i));
+      observation_fields(o, field);
+      encoder.append(frame);
     }
   }
-  // Integrity line: CRC-32C over every byte above it. A torn or
-  // bit-rotted blob fails verification on --resume and the run is
-  // simply re-executed instead of trusted.
-  char crc_line[16];
-  std::snprintf(crc_line, sizeof crc_line, "crc %08x\n",
-                util::crc32c(out.str()));
-  out << crc_line;
-  out << "end\n";
-  util::write_file_atomic(path, out.str());
+  util::write_file_atomic(path, blob);
 }
 
 std::optional<RunResult> read_run_result(const std::filesystem::path& path) {
   const auto buf = util::io::read_file(path);
   if (!buf) return std::nullopt;
-
-  // Verify the integrity line before believing anything else. Blobs
-  // from before the crc line was introduced simply lack it and are
-  // validated structurally like before.
-  if (const std::size_t at = buf->rfind("\ncrc ");
-      at != std::string::npos) {
-    const std::string_view rest = std::string_view(*buf).substr(at + 5);
-    if (rest.size() < 9 || rest.substr(8, 1) != "\n") return std::nullopt;
-    std::uint32_t stored = 0;
-    for (const char c : rest.substr(0, 8)) {
-      const int digit = c >= '0' && c <= '9'   ? c - '0'
-                        : c >= 'a' && c <= 'f' ? c - 'a' + 10
-                                               : -1;
-      if (digit < 0) return std::nullopt;
-      stored = stored << 4 | static_cast<std::uint32_t>(digit);
-    }
-    if (stored != util::crc32c(std::string_view(*buf).substr(0, at + 1))) {
-      return std::nullopt;
-    }
+  std::vector<std::string_view> frames;
+  const util::framing::FrameVisitor collect{
+      .header = [&frames](const auto& h) { frames.reserve(h.capacity); },
+      .payload =
+          [&frames](std::string_view frame) {
+            frames.push_back(frame);
+            return true;
+          },
+  };
+  try {
+    util::framing::decode_frames(kRunResultFormat, *buf, collect,
+                                 path.string());
+  } catch (const std::runtime_error&) {
+    return std::nullopt;  // torn, bit-rotted, foreign or an old text blob
   }
-
-  std::istringstream in(*buf);
-  std::string line;
-  if (!std::getline(in, line) || line != kResultHeader) return std::nullopt;
+  if (frames.empty()) return std::nullopt;
 
   RunResult result;
   auto& data = result.observations;
-  bool complete = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream tokens(line);
-    std::string key;
-    tokens >> key;
-    if (key == "app") {
-      tokens >> data.app;
-    } else if (key == "duration_ns") {
-      std::int64_t ns = -1;
-      tokens >> ns;
-      if (!tokens || ns < 0) return std::nullopt;
-      data.duration = util::SimTime::nanos(ns);
-    } else if (key == "counters") {
-      auto& c = result.counters;
-      tokens >> c.chunks_delivered >> c.chunks_duplicate >>
-          c.chunks_uploaded >> c.requests_refused >> c.contacts >>
-          c.timeouts >> c.contact_failures >> c.probe_crashes >>
-          c.chunks_retried >> c.partners_blacklisted;
-      if (!tokens) return std::nullopt;
-    } else if (key == "dcounters") {
-      auto& d = result.counters.discovery;
-      tokens >> d.tracker_queries >> d.tracker_failures >> d.dht_lookups >>
-          d.dht_hops >> d.dht_hop_timeouts >> d.dht_evictions >>
-          d.gossip_exchanges >> d.gossip_partitions >> d.failovers >>
-          d.recoveries >> d.joins_ok >> d.join_retries >> d.nat_direct >>
-          d.nat_relayed >> d.nat_blocked >> d.flash_arrivals;
-      if (!tokens) return std::nullopt;
-    } else if (key == "probe") {
-      std::uint32_t addr_bits = 0, as_value = 0;
-      std::uint16_t cc_packed = 0;
-      int high_bw = 0;
-      std::string label;
-      tokens >> addr_bits >> as_value >> cc_packed >> high_bw >> label;
-      if (!tokens) return std::nullopt;
-      data.probes.push_back(
-          {net::Ipv4Addr{addr_bits}, net::AsId{as_value},
-           net::CountryCode{static_cast<char>(cc_packed >> 8),
-                            static_cast<char>(cc_packed & 0xff)},
-           high_bw != 0, label});
-    } else if (key == "vantage") {
-      std::size_t index = 0, count = 0;
-      tokens >> index >> count;
-      if (!tokens || index != data.per_probe.size()) return std::nullopt;
-      std::vector<aware::PairObservation> observations;
-      observations.reserve(count);
-      for (std::size_t k = 0; k < count; ++k) {
-        if (!std::getline(in, line)) return std::nullopt;
-        std::istringstream fields(line);
-        std::string tag;
-        fields >> tag;
-        if (tag != "o") return std::nullopt;
-        aware::PairObservation o;
-        std::uint32_t probe_bits = 0, remote_bits = 0, probe_as = 0,
-                      remote_as = 0;
-        std::uint16_t probe_cc = 0, remote_cc = 0;
-        int same_subnet = 0, napa = 0;
-        fields >> probe_bits >> remote_bits >> probe_as >> remote_as >>
-            probe_cc >> remote_cc >> same_subnet >> napa >> o.rx_pkts >>
-            o.rx_bytes >> o.tx_pkts >> o.tx_bytes >> o.rx_video_pkts >>
-            o.rx_video_bytes >> o.tx_video_pkts >> o.tx_video_bytes >>
-            o.min_rx_video_ipg_ns;
-        for (auto& ipg : o.smallest_rx_ipgs) fields >> ipg;
-        fields >> o.rx_ipg_samples >> o.rx_hops;
-        if (!fields) return std::nullopt;
-        o.probe = net::Ipv4Addr{probe_bits};
-        o.remote = net::Ipv4Addr{remote_bits};
-        o.probe_as = net::AsId{probe_as};
-        o.remote_as = net::AsId{remote_as};
-        o.probe_cc =
-            net::CountryCode{static_cast<char>(probe_cc >> 8),
-                             static_cast<char>(probe_cc & 0xff)};
-        o.remote_cc =
-            net::CountryCode{static_cast<char>(remote_cc >> 8),
-                             static_cast<char>(remote_cc & 0xff)};
-        o.same_subnet = same_subnet != 0;
-        o.remote_is_napa = napa != 0;
-        observations.push_back(o);
-      }
-      data.per_probe.push_back(std::move(observations));
-    } else if (key == "crc") {
-      // Already verified against the bytes above; nothing to parse.
-    } else if (key == "end") {
-      complete = true;
-      break;
-    } else {
+  Get run{frames[0]};
+  const auto ns = run.take<std::int64_t>();
+  counter_fields(result.counters, run);
+  const auto probes = run.take<std::uint64_t>();
+  // Every probe has a frame of its own, so the count is bounded by the
+  // frames decoded, never by what the frame claims.
+  if (!run.ok || ns < 0 || run.rest.empty() || probes >= frames.size()) {
+    return std::nullopt;
+  }
+  data.app = run.rest;
+  data.duration = util::SimTime::nanos(ns);
+  data.probes.resize(probes);
+  data.per_probe.resize(probes);
+  for (std::size_t i = 0; i < probes; ++i) {
+    Get field{frames[1 + i]};
+    probe_fields(data.probes[i], field);
+    if (!field.ok) return std::nullopt;
+    data.probes[i].label = field.rest;
+  }
+  for (std::size_t i = 1 + probes; i < frames.size(); ++i) {
+    Get field{frames[i]};
+    const auto vantage = field.take<std::uint32_t>();
+    aware::PairObservation o;
+    observation_fields(o, field);
+    if (!field.ok || !field.rest.empty() || vantage >= probes) {
       return std::nullopt;
     }
-  }
-  if (!complete || data.app.empty() ||
-      data.probes.size() != data.per_probe.size()) {
-    return std::nullopt;
+    data.per_probe[vantage].push_back(o);
   }
   return result;
 }

@@ -11,6 +11,23 @@
 // file (atomic rename, integer-exact fields), which is what lets
 // `--resume` skip a finished spec and still produce output
 // byte-identical to an uninterrupted batch (DESIGN.md §10).
+//
+// The blob is a util::framing stream (magic `PSRR`, version
+// kRunResultVersion, no header extension, no sync markers), frames
+// little-endian:
+//
+//   run frame:          i64 duration_ns · 10 swarm counters · 16
+//                       discovery counters (u64 each, declaration
+//                       order) · u64 probe_count · app name bytes
+//   probe_count frames: u32 addr · u32 as · u16 cc · u8 high_bw ·
+//                       label bytes
+//   one 150-byte frame per PairObservation, vantage by vantage:
+//                       u32 vantage index · the observation's fields
+//                       in declaration order (bools as u8, rx_hops
+//                       as i32)
+//
+// It is read strictly: a torn, bit-rotted, foreign or out-of-domain
+// blob reads as nullopt, never as a wrong result.
 #pragma once
 
 #include <filesystem>
@@ -23,6 +40,7 @@
 namespace peerscope::exp {
 
 inline constexpr const char* kJournalSchema = "peerscope.journal/1";
+inline constexpr std::uint32_t kRunResultMagic = 0x50535252;  // "PSRR"
 inline constexpr std::uint16_t kRunResultVersion = 1;
 
 /// Stable identity of a RunSpec for journal matching: application,
@@ -76,8 +94,8 @@ void write_run_result(const std::filesystem::path& path,
                       const RunResult& result);
 
 /// Reloads a blob written by write_run_result. Returns nullopt when
-/// the file is missing or malformed — resume treats that as "not
-/// actually finished" and reruns the spec.
+/// the file is missing or does not decode — resume treats that as "not
+/// actually finished" and reruns the spec. Throws nothing of its own.
 [[nodiscard]] std::optional<RunResult> read_run_result(
     const std::filesystem::path& path);
 

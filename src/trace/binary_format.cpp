@@ -25,19 +25,15 @@ constexpr util::framing::FrameFormat kFormat{
     .header_ext_len = sizeof(std::uint32_t),  // the probe address
 };
 
+using util::framing::get;
+
+/// Packs into a fixed buffer rather than framing's string put: the
+/// record writer is PSBT's hot path.
 template <typename T>
 char* put(char* out, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
   std::memcpy(out, &value, sizeof(T));  // host is little-endian
   return out + sizeof(T);
-}
-
-template <typename T>
-T get(const char*& ptr) {
-  T value;
-  std::memcpy(&value, ptr, sizeof(T));
-  ptr += sizeof(T);
-  return value;
 }
 
 void pack_record(char* out, const PacketRecord& r) {

@@ -1,9 +1,7 @@
 #include "util/framing.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
-#include <type_traits>
 
 #include "util/crc32c.hpp"
 
@@ -14,22 +12,6 @@ namespace {
 constexpr std::size_t kBaseHeaderSize = 24;  // header without the extension
 constexpr std::size_t kSyncMarkerSize = 16;
 constexpr std::size_t kFrameOverhead = 8;  // payload_len + payload_crc
-
-template <typename T>
-void put(std::string& buf, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  buf.append(bytes, sizeof(T));  // host is little-endian (x86/ARM64)
-}
-
-template <typename T>
-T get(const char*& ptr) {
-  T value;
-  std::memcpy(&value, ptr, sizeof(T));
-  ptr += sizeof(T);
-  return value;
-}
 
 [[nodiscard]] std::size_t header_size(const FrameFormat& format) {
   return kBaseHeaderSize + format.header_ext_len;

@@ -1,7 +1,8 @@
 // CRC-32C record framing with sync-marker resynchronisation: the one
 // checksummed container behind the PSBT trace files
-// (trace/binary_format.hpp) and the PSTS time-series sidecar
-// (obs/timeseries.hpp). Every record carries its own checksum,
+// (trace/binary_format.hpp), the PSTS time-series sidecar
+// (obs/timeseries.hpp) and the PSRR journal result blobs
+// (exp/journal.hpp). Every record carries its own checksum,
 // periodic sync markers let a salvage reader step past damaged
 // regions, and recovered + skipped always reconciles against the
 // header's declared count.
@@ -13,7 +14,7 @@
 //     u16 version        caller-chosen format version
 //     u16 reserved       0
 //     ext                header_ext_len caller bytes (PSBT: u32 probe
-//                        address; PSTS: none)
+//                        address; PSTS, PSRR: none)
 //     u64 record_count
 //     u32 sync_interval  records between sync markers (0 = none)
 //     u32 header_crc     CRC-32C over every preceding header byte
@@ -36,9 +37,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "util/salvage.hpp"
 
@@ -46,6 +49,27 @@ namespace peerscope::util::framing {
 
 inline constexpr std::uint32_t kSyncMagic = 0x53594e43;  // "SYNC"
 inline constexpr std::uint32_t kDefaultSyncInterval = 256;
+
+/// Appends `value`'s bytes to `buf`, little-endian (the host is:
+/// x86/ARM64). Payload encoders build their frames with it.
+template <typename T>
+void put(std::string& buf, T value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  buf.append(bytes, sizeof(T));
+}
+
+/// Reads a little-endian T at `ptr` and advances `ptr` past it. The
+/// caller has checked that sizeof(T) bytes remain.
+template <typename T>
+T get(const char*& ptr) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T value;
+  std::memcpy(&value, ptr, sizeof(T));
+  ptr += sizeof(T);
+  return value;
+}
 
 /// Container identity + limits, fixed per format by the caller.
 struct FrameFormat {

@@ -5,9 +5,9 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <mutex>
+#include <tuple>
 #include <utility>
 #include <vector>
 #include <filesystem>
@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "util/cancel.hpp"
+#include "util/framing.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
 
@@ -556,34 +557,108 @@ TEST(Journal, SpecIdEncodesIdentityAndFaults) {
   }
 }
 
+/// Every observation field the blob carries, listed independently of
+/// the writer.
+auto observation_fields(const aware::PairObservation& o) {
+  return std::tie(o.probe, o.remote, o.probe_as, o.remote_as, o.probe_cc,
+                  o.remote_cc, o.same_subnet, o.remote_is_napa, o.rx_pkts,
+                  o.rx_bytes, o.tx_pkts, o.tx_bytes, o.rx_video_pkts,
+                  o.rx_video_bytes, o.tx_video_pkts, o.tx_video_bytes,
+                  o.min_rx_video_ipg_ns, o.smallest_rx_ipgs, o.rx_ipg_samples,
+                  o.rx_hops);
+}
+
+/// Every counter the blob carries, listed independently of the writer.
+template <typename Counters>
+auto counter_fields(Counters& c) {
+  auto& d = c.discovery;
+  return std::vector{&c.chunks_delivered,  &c.chunks_duplicate,
+                     &c.chunks_uploaded,   &c.requests_refused,
+                     &c.contacts,          &c.timeouts,
+                     &c.contact_failures,  &c.probe_crashes,
+                     &c.chunks_retried,    &c.partners_blacklisted,
+                     &d.tracker_queries,   &d.tracker_failures,
+                     &d.dht_lookups,       &d.dht_hops,
+                     &d.dht_hop_timeouts,  &d.dht_evictions,
+                     &d.gossip_exchanges,  &d.gossip_partitions,
+                     &d.failovers,         &d.recoveries,
+                     &d.joins_ok,          &d.join_retries,
+                     &d.nat_direct,        &d.nat_relayed,
+                     &d.nat_blocked,       &d.flash_arrivals};
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void write_fixture(const std::filesystem::path& path,
+                   const std::string& bytes) {
+  // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
 TEST(Journal, RunResultBlobRoundTripsByteIdentically) {
   // Real simulation output through the blob: the reloaded result must
   // serialize to the exact same bytes, which is the property --resume
   // byte-identity rests on.
-  const RunResult original = run_experiment(topo(), tiny_spec(5));
+  RunSpec discovery = tiny_spec(7);
+  discovery.discovery.primary = p2p::DiscoveryBackendKind::kTracker;
+  discovery.discovery.fallback = p2p::DiscoveryBackendKind::kDht;
+  discovery.discovery.tracker_outage_start = SimTime::seconds(8);
+  discovery.discovery.tracker_outage_duration = SimTime::seconds(10);
+  discovery.discovery.nat.enabled = true;
   const auto dir = std::filesystem::temp_directory_path() /
                    ("peerscope_blob_test_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
 
-  write_run_result(dir / "a.result", original);
-  const auto reloaded = read_run_result(dir / "a.result");
+  for (const RunSpec& spec : {tiny_spec(5), discovery}) {
+    const RunResult original = run_experiment(topo(), spec);
+    EXPECT_EQ(original.counters.discovery.any(), spec.discovery.enabled());
+    write_run_result(dir / "a.result", original);
+    const auto reloaded = read_run_result(dir / "a.result");
+    ASSERT_TRUE(reloaded.has_value()) << spec_id(spec);
+    write_run_result(dir / "b.result", *reloaded);
+
+    const std::string first = slurp(dir / "a.result");
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(first, slurp(dir / "b.result")) << spec_id(spec);
+    EXPECT_EQ(reloaded->observations.probes.size(),
+              original.observations.probes.size());
+    ASSERT_EQ(reloaded->observations.per_probe.size(),
+              original.observations.per_probe.size());
+    for (std::size_t v = 0; v < original.observations.per_probe.size(); ++v) {
+      const auto& want = original.observations.per_probe[v];
+      const auto& have = reloaded->observations.per_probe[v];
+      ASSERT_EQ(have.size(), want.size()) << "vantage " << v;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_TRUE(observation_fields(have[k]) == observation_fields(want[k]))
+            << "vantage " << v << " observation " << k;
+      }
+    }
+    const auto want = counter_fields(original.counters);
+    const auto have = counter_fields(reloaded->counters);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(*have[i], *want[i]) << "counter " << i << " of "
+                                    << spec_id(spec);
+    }
+  }
+
+  // A real run leaves counters at zero; distinct values show that each
+  // of the 26 has its own slot in the blob.
+  RunResult marked = fake_result(1);
+  const auto fields = counter_fields(marked.counters);
+  for (std::size_t i = 0; i < fields.size(); ++i) *fields[i] = 1000 + i;
+  write_run_result(dir / "marked.result", marked);
+  auto reloaded = read_run_result(dir / "marked.result");
   ASSERT_TRUE(reloaded.has_value());
-  write_run_result(dir / "b.result", *reloaded);
-
-  const auto slurp = [](const std::filesystem::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
-  const std::string first = slurp(dir / "a.result");
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, slurp(dir / "b.result"));
-
-  EXPECT_EQ(reloaded->observations.probes.size(),
-            original.observations.probes.size());
-  EXPECT_EQ(reloaded->counters.chunks_delivered,
-            original.counters.chunks_delivered);
+  const auto back = counter_fields(reloaded->counters);
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(*back[i], 1000 + i) << "counter " << i;
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -593,75 +668,62 @@ TEST(Journal, CorruptBlobReadsAsNullopt) {
   std::filesystem::create_directories(dir);
   EXPECT_FALSE(read_run_result(dir / "missing.result").has_value());
 
-  // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
-  std::ofstream(dir / "bad_header.result") << "not-a-result 1\n";
-  EXPECT_FALSE(read_run_result(dir / "bad_header.result").has_value());
-
-  // Truncated: header but no "end" sentinel.
-  // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
-  std::ofstream(dir / "torn.result")
-      << "peerscope-runresult 1\napp X\nduration_ns 5\n";
+  // Truncated: a real blob that lost its last byte.
+  write_run_result(dir / "torn.result", fake_result(7));
+  std::string torn = slurp(dir / "torn.result");
+  ASSERT_TRUE(read_run_result(dir / "torn.result").has_value());
+  torn.pop_back();
+  write_fixture(dir / "torn.result", torn);
   EXPECT_FALSE(read_run_result(dir / "torn.result").has_value());
+
+  // The text blob this format replaced, CRC line and all: what
+  // fake_result(7) used to persist. It reads as unfinished.
+  write_fixture(dir / "old.result",
+                "peerscope-runresult 1\n"
+                "app FakeApp\n"
+                "duration_ns 1000000000\n"
+                "counters 7 0 0 0 0 0 0 0 0 0\n"
+                "crc a739e342\n"
+                "end\n");
+  EXPECT_FALSE(read_run_result(dir / "old.result").has_value());
+
+  // CRC-valid but out of domain: a run frame declaring 2^40 probes in
+  // a one-frame stream. It must be rejected, never allocated for.
+  std::string stream;
+  util::framing::FrameEncoder encoder{
+      {.magic = kRunResultMagic, .version = kRunResultVersion}, stream, 1};
+  std::string frame;
+  util::framing::put<std::int64_t>(frame, 1'000'000'000);
+  for (int i = 0; i < 26; ++i) util::framing::put<std::uint64_t>(frame, 0);
+  util::framing::put<std::uint64_t>(frame, std::uint64_t{1} << 40);
+  frame += "FakeApp";
+  encoder.append(frame);
+  write_fixture(dir / "domain.result", stream);
+  EXPECT_FALSE(read_run_result(dir / "domain.result").has_value());
   std::filesystem::remove_all(dir);
 }
 
 TEST(Journal, BitRotInTheBlobFailsTheCrcCheck) {
-  // Flip one digit in an otherwise perfectly parseable blob: without
-  // the integrity line this would read back as silently wrong data.
+  // One random flip anywhere in a real blob — header, frame length,
+  // checksum or payload — must read as unfinished, never as data.
   const RunResult original = run_experiment(topo(), tiny_spec(6));
   const auto dir = std::filesystem::temp_directory_path() /
                    ("peerscope_blob_crc_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto path = dir / "rot.result";
   write_run_result(path, original);
+  const std::string clean = slurp(path);
+  ASSERT_TRUE(read_run_result(path).has_value());
 
-  std::string buf;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream tmp;
-    tmp << in.rdbuf();
-    buf = tmp.str();
+  std::uint64_t lcg = 0x243f6a8885a308d3ull;  // fixed: runs reproduce
+  for (int trial = 0; trial < 200; ++trial) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    const std::size_t bit = (lcg >> 11) % (clean.size() * 8);
+    std::string buf = clean;
+    buf[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    write_fixture(path, buf);
+    EXPECT_FALSE(read_run_result(path).has_value()) << "flip bit " << bit;
   }
-  const std::size_t at = buf.find("duration_ns ");
-  ASSERT_NE(at, std::string::npos);
-  char& digit = buf[at + std::strlen("duration_ns ")];
-  digit = digit == '9' ? '8' : static_cast<char>(digit + 1);
-  {
-    // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << buf;
-  }
-  EXPECT_FALSE(read_run_result(path).has_value());
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Journal, LegacyBlobWithoutCrcLineStillParses) {
-  const RunResult original = run_experiment(topo(), tiny_spec(6));
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_blob_legacy_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const auto path = dir / "legacy.result";
-  write_run_result(path, original);
-
-  std::string buf;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream tmp;
-    tmp << in.rdbuf();
-    buf = tmp.str();
-  }
-  const std::size_t at = buf.rfind("\ncrc ");
-  ASSERT_NE(at, std::string::npos);
-  buf.erase(at + 1, std::strlen("crc 00000000\n"));  // drop the line
-  {
-    // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << buf;
-  }
-  const auto reloaded = read_run_result(path);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->counters.chunks_delivered,
-            original.counters.chunks_delivered);
   std::filesystem::remove_all(dir);
 }
 

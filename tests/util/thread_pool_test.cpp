@@ -4,12 +4,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "util/parallel.hpp"
 
 namespace peerscope::util {
 namespace {
@@ -98,71 +95,6 @@ TEST(ThreadPool, TasksReturningValuesKeepOrderPerFuture) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
   }
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool{4};
-  const std::size_t n = 10'000;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for_chunked(pool, n, [&hits](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) ++hits[i];
-  });
-  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, ZeroCountIsNoop) {
-  ThreadPool pool{2};
-  bool called = false;
-  parallel_for_chunked(pool, 0, [&called](std::size_t, std::size_t) {
-    called = true;
-  });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelFor, SmallCountRunsInline) {
-  ThreadPool pool{4};
-  std::vector<int> hits(10, 0);
-  parallel_for_chunked(
-      pool, hits.size(),
-      [&hits](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) ++hits[i];
-      },
-      /*min_chunk=*/64);
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelMapReduce, MatchesSerialSum) {
-  ThreadPool pool{4};
-  const std::size_t n = 5'000;
-  const auto total = parallel_map_reduce<std::uint64_t>(
-      pool, n, 0,
-      [](std::size_t i) { return static_cast<std::uint64_t>(i); },
-      [](std::uint64_t& acc, std::uint64_t v) { acc += v; });
-  EXPECT_EQ(total, n * (n - 1) / 2);
-}
-
-TEST(ParallelMapReduce, IdenticalAcrossWorkerCounts) {
-  const std::size_t n = 3'000;
-  auto run = [n](std::size_t workers) {
-    ThreadPool pool{workers};
-    return parallel_map_reduce<double>(
-        pool, n, 0.0,
-        [](std::size_t i) { return static_cast<double>(i) * 0.5; },
-        [](double& acc, double v) { acc += v; }, /*min_chunk=*/16);
-  };
-  // Chunk layout is fixed by worker count, so compare to serial total
-  // with exact arithmetic expectations at small magnitudes.
-  const double serial = run(1);
-  EXPECT_DOUBLE_EQ(run(2), serial);
-  EXPECT_DOUBLE_EQ(run(7), serial);
-}
-
-TEST(ParallelMapReduce, EmptyReturnsIdentity) {
-  ThreadPool pool{2};
-  const int result = parallel_map_reduce<int>(
-      pool, 0, 41, [](std::size_t) { return 1; },
-      [](int& acc, int v) { acc += v; });
-  EXPECT_EQ(result, 41);
 }
 
 }  // namespace
