@@ -1,7 +1,6 @@
-// Shared bench-harness plumbing: the environment knobs the benches
-// read (BenchConfig), the number formatting of their tables, and the
-// paper's Table II-IV values (aware/paper.hpp) under the `bench::`
-// names perfbench/ reads.
+// Shared bench-harness plumbing: the seed knob bench_micro_engine reads
+// (BenchConfig) and the paper's Table II-IV values (aware/paper.hpp)
+// under the `bench::` names perfbench/ reads.
 #pragma once
 
 #include <cerrno>
@@ -9,11 +8,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <optional>
-#include <string>
 
 #include "aware/paper.hpp"
-#include "util/table.hpp"
 
 namespace peerscope::bench {
 
@@ -47,22 +43,14 @@ inline std::uint64_t env_u64_or_die(const char* var, const char* text,
 
 }  // namespace detail
 
-/// Default reproduction scale (DESIGN.md §6): 300 simulated seconds,
-/// profile-default populations. Override via environment for quick
-/// runs: PEERSCOPE_BENCH_SECONDS, PEERSCOPE_BENCH_SEED. Malformed
-/// values abort with a usage message (exit 2) instead of running at a
-/// silently-mangled scale.
+/// The default seed, 42, overridable via PEERSCOPE_BENCH_SEED. A
+/// malformed value aborts with a usage message (exit 2) instead of
+/// running with a silently-mangled seed.
 struct BenchConfig {
-  std::int64_t seconds = 300;
   std::uint64_t seed = 42;
 
   static BenchConfig from_env() {
     BenchConfig cfg;
-    if (const char* s = std::getenv("PEERSCOPE_BENCH_SECONDS")) {
-      // A year of simulated time is already far past any useful run.
-      cfg.seconds = static_cast<std::int64_t>(detail::env_u64_or_die(
-          "PEERSCOPE_BENCH_SECONDS", s, 31'536'000ULL));
-    }
     if (const char* s = std::getenv("PEERSCOPE_BENCH_SEED")) {
       cfg.seed = detail::env_u64_or_die(
           "PEERSCOPE_BENCH_SEED", s,
@@ -71,15 +59,6 @@ struct BenchConfig {
     return cfg;
   }
 };
-
-inline std::string fmt(double v, int precision = 1) {
-  return util::TextTable::num(v, precision);
-}
-
-inline std::string fmt_opt(const std::optional<double>& v,
-                           int precision = 1) {
-  return v ? fmt(*v, precision) : "-";
-}
 
 // The paper's published tables under the names perfbench/ reads.
 using aware::kPaperTable2;

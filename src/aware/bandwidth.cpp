@@ -1,26 +1,9 @@
 #include "aware/bandwidth.hpp"
 
-#include <limits>
-
 #include "aware/partition.hpp"
 #include "aware/preference.hpp"
 
 namespace peerscope::aware {
-
-std::optional<CapacityEstimate> estimate_capacity(const PairObservation& obs,
-                                                  std::int32_t packet_bytes,
-                                                  int ipg_discard) {
-  if (!obs.has_min_ipg()) return std::nullopt;
-  const std::int64_t ipg = obs.min_ipg_after_discard(ipg_discard);
-  if (ipg <= 0 || ipg == std::numeric_limits<std::int64_t>::max()) {
-    return std::nullopt;
-  }
-  CapacityEstimate estimate;
-  estimate.min_ipg_ns = ipg;
-  estimate.mbps = static_cast<double>(packet_bytes) * 8.0 /
-                  static_cast<double>(ipg) * 1e3;
-  return estimate;
-}
 
 std::vector<ThresholdPoint> bw_threshold_sweep(
     const ExperimentObservations& data,
@@ -42,23 +25,6 @@ std::vector<ThresholdPoint> bw_threshold_sweep(
     out.push_back({threshold, counts.peer_pct(), counts.byte_pct()});
   }
   return out;
-}
-
-util::Histogram capacity_distribution(const ExperimentObservations& data,
-                                      double max_mbps, std::size_t bins,
-                                      const ContributorConfig& contributor) {
-  util::Histogram histogram{0.0, max_mbps, bins};
-  for (const auto& per_probe : data.per_probe) {
-    for (const auto& obs : per_probe) {
-      if (obs.remote_is_napa || !is_rx_contributor(obs, contributor)) {
-        continue;
-      }
-      if (const auto estimate = estimate_capacity(obs)) {
-        histogram.add(estimate->mbps);
-      }
-    }
-  }
-  return histogram;
 }
 
 }  // namespace peerscope::aware

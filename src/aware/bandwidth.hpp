@@ -1,40 +1,18 @@
-// Packet-pair capacity estimation beyond the paper's binary classifier.
-//
-// The paper only needs high/low at a 1 ms threshold; this module keeps
-// the full signal: a capacity point-estimate per peer from the minimum
-// inter-packet gap, the population IPG distribution, and a threshold
-// sensitivity sweep that shows how (in)sensitive Table IV's BW row is
-// to the 1 ms choice — the natural ablation of §III-B.
+// Sensitivity of the BW classification to its threshold: Table IV's
+// BW row as a function of the inter-packet-gap boundary, the natural
+// ablation of §III-B. Claim ext.bw_threshold_plateau
+// (exp/extensions.hpp) checks that the paper's 1 ms choice sits on a
+// plateau.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "aware/contributor.hpp"
 #include "aware/experiment.hpp"
-#include "aware/observation.hpp"
-#include "util/stats.hpp"
 
 namespace peerscope::aware {
-
-/// Path-capacity point estimate for one peer pair.
-struct CapacityEstimate {
-  /// Bottleneck estimate in Mb/s: packet_bits / min_ipg.
-  double mbps = 0.0;
-  std::int64_t min_ipg_ns = 0;
-};
-
-/// Estimates the path bottleneck toward the probe from the minimum
-/// inter-packet gap, assuming `packet_bytes`-sized video packets (the
-/// paper's 1250 B reference). nullopt when no packet pair was observed.
-/// `ipg_discard` drops that many smallest gap samples first (capture
-/// duplication fabricates near-zero gaps that would otherwise read as
-/// absurd multi-Gb/s capacities); 0 is the paper's plain minimum.
-[[nodiscard]] std::optional<CapacityEstimate> estimate_capacity(
-    const PairObservation& obs, std::int32_t packet_bytes = 1250,
-    int ipg_discard = 0);
 
 /// One point of the threshold sensitivity sweep.
 struct ThresholdPoint {
@@ -51,11 +29,5 @@ struct ThresholdPoint {
     const ExperimentObservations& data,
     std::span<const std::int64_t> thresholds_ns,
     const ContributorConfig& contributor = {});
-
-/// Distribution of estimated capacities over download contributors
-/// (non-NAPA), in Mb/s bins over [0, max_mbps).
-[[nodiscard]] util::Histogram capacity_distribution(
-    const ExperimentObservations& data, double max_mbps = 120.0,
-    std::size_t bins = 24, const ContributorConfig& contributor = {});
 
 }  // namespace peerscope::aware

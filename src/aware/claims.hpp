@@ -2,9 +2,10 @@
 // predicate over the statistics `peerscope reproduce` renders: the
 // AppReport of PPLive, SopCast and TVAnts plus the Figure 2 matrix of
 // PPLive-Popular. The thresholds are the reproduction's shape criteria
-// (EXPERIMENTS.md). Two rows encode known deviations 2 and 3 of
+// (EXPERIMENTS.md). Three rows encode known deviations 2, 3 and 4 of
 // EXPERIMENTS.md: the reproduction is known to miss them, so they are
-// expected to fail, and each carries the reason.
+// expected to fail, and each carries the reason. The extension sweeps
+// of exp/extensions.hpp report their checks as Claim rows too.
 #pragma once
 
 #include <string>
@@ -16,7 +17,8 @@
 namespace peerscope::aware {
 
 struct Claim {
-  /// `<table or figure>.<name>`, e.g. "table4.bw_strong".
+  /// `<table or figure>.<name>`, e.g. "table4.bw_strong", or
+  /// `ext.<sweep>.<name>` for an extension claim.
   std::string_view id;
   std::string_view statement;
   /// The measured values the verdict rests on, as printed.

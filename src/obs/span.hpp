@@ -37,30 +37,6 @@ class Span {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Accumulates scope wall-time into a timing histogram — the per-call
-/// sibling of Span for hot stages (train expansion) where a mutexed
-/// span record per call would be too heavy.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram histogram) : histogram_(histogram) {
-    if (histogram_) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (histogram_) {
-      histogram_.observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count());
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram histogram_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace peerscope::obs
 
 #define PEERSCOPE_SPAN_CONCAT2(a, b) a##b

@@ -6,8 +6,8 @@
 // (ground truth), so the black-box pipeline can be validated: it must
 // recover exactly the biases encoded below. Factory functions encode
 // the per-system knobs the paper's findings imply; every number is a
-// tunable, not a constant of nature — bench_ablation_selection sweeps
-// them.
+// tunable, not a constant of nature — the ext.ablation.* claims
+// (exp/extensions.hpp) sweep them.
 #pragma once
 
 #include <cstdint>

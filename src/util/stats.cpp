@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace peerscope::util {
 
@@ -64,80 +64,6 @@ double percentile(std::span<const double> samples, double q) {
 
 double median(std::span<const double> samples) {
   return percentile(samples, 0.5);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi) || bins == 0) {
-    throw std::invalid_argument("Histogram: need lo < hi and bins > 0");
-  }
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  const double scaled =
-      (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
-  std::size_t bin;
-  if (scaled < 0.0) {
-    bin = 0;
-  } else if (scaled >= static_cast<double>(counts_.size())) {
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>(scaled);
-  }
-  counts_[bin] += weight;
-  total_ += weight;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.counts_.size() != counts_.size() || other.lo_ != lo_ ||
-      other.hi_ != hi_) {
-    throw std::invalid_argument("Histogram::merge: shape mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) {
-    throw std::logic_error("Histogram::quantile: empty histogram");
-  }
-  if (q < 0.0 || q > 1.0) {
-    throw std::invalid_argument("Histogram::quantile: q outside [0,1]");
-  }
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (cum + c >= target) {
-      const double frac = c > 0 ? (target - cum) / c : 0.0;
-      return bin_lo(i) + frac * (bin_hi(i) - bin_lo(i));
-    }
-    cum += c;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    out << '[' << bin_lo(i) << ", " << bin_hi(i) << ") "
-        << std::string(bar, '#') << ' ' << counts_[i] << '\n';
-  }
-  return out.str();
 }
 
 double percentage(double part, double complement) {

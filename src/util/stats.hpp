@@ -1,14 +1,11 @@
 // Streaming and batch statistics used across trace analysis and report
-// generation: online mean/variance/min/max (Welford), percentiles over
-// collected samples, and fixed-width histograms.
+// generation: online mean/variance/min/max (Welford) and percentiles
+// over collected samples.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace peerscope::util {
 
@@ -50,37 +47,6 @@ class OnlineStats {
 
 /// Median shorthand.
 [[nodiscard]] double median(std::span<const double> samples);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into
-/// the edge bins so no data is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-  void merge(const Histogram& other);
-
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const {
-    return counts_[bin];
-  }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
-  /// Value below which fraction `q` of the (weighted) mass lies,
-  /// interpolated within the containing bin.
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Crude terminal rendering for reports (one line per bin).
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Ratio helper: percentage a/(a+b), 0 when both are zero. Used all over
 /// the preference framework (Eqs. 7-8 of the paper).

@@ -1,8 +1,7 @@
-// Plain-text table rendering for bench harness output.
-//
-// Every bench binary prints paper-style tables (Tables I-IV, Figures 1-2
-// as numeric series) through this renderer so "paper vs measured" rows
-// line up and can be diffed by eye.
+// Plain-text table rendering for the CLI's paper-style tables and the
+// trace-summary profile, plus the number formatting that the report and
+// the claims tables share, so "paper vs measured" rows line up and can
+// be diffed by eye.
 #pragma once
 
 #include <cstddef>

@@ -18,24 +18,6 @@ PairObservation contributor_with_ipg(std::int64_t ipg_ns,
   return obs;
 }
 
-TEST(CapacityEstimate, InvertsSerialisationTime) {
-  // 1250 B in 1 ms -> 10 Mb/s exactly.
-  const auto estimate = estimate_capacity(contributor_with_ipg(1'000'000));
-  ASSERT_TRUE(estimate.has_value());
-  EXPECT_DOUBLE_EQ(estimate->mbps, 10.0);
-  // 100 us -> 100 Mb/s.
-  EXPECT_DOUBLE_EQ(estimate_capacity(contributor_with_ipg(100'000))->mbps,
-                   100.0);
-  // 26.04 ms (384 kb/s uplink) -> ~0.384 Mb/s.
-  EXPECT_NEAR(estimate_capacity(contributor_with_ipg(26'041'667))->mbps,
-              0.384, 0.001);
-}
-
-TEST(CapacityEstimate, UnevaluableWithoutPairs) {
-  PairObservation obs;  // no IPG
-  EXPECT_FALSE(estimate_capacity(obs).has_value());
-}
-
 ExperimentObservations small_experiment() {
   ExperimentObservations data;
   data.probes.push_back(
@@ -69,17 +51,6 @@ TEST(ThresholdSweep, PaperThresholdSplitsClasses) {
   // Two of three non-napa contributors are high-bandwidth.
   EXPECT_NEAR(sweep[0].peer_pct, 100.0 * 2 / 3, 1e-9);
   EXPECT_NEAR(sweep[0].byte_pct, 100.0 * 14 / 15, 1e-9);
-}
-
-TEST(CapacityDistribution, ExcludesNapaAndBinsCorrectly) {
-  const auto data = small_experiment();
-  const auto histogram = capacity_distribution(data, 120.0, 12);
-  EXPECT_EQ(histogram.total(), 3u);  // napa peer excluded
-  // 100 Mb/s lands in the [100, 110) bin.
-  EXPECT_EQ(histogram.count(10), 1u);
-  // DSL and 20 Mb/s land in the low bins.
-  EXPECT_EQ(histogram.count(0), 1u);
-  EXPECT_EQ(histogram.count(2), 1u);
 }
 
 }  // namespace

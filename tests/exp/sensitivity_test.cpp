@@ -1,4 +1,4 @@
-#include "exp/sensitivity.hpp"
+#include "exp/extensions.hpp"
 
 #include <gtest/gtest.h>
 

@@ -109,79 +109,6 @@ TEST(Percentile, DoesNotMutateInput) {
   EXPECT_EQ(v, (std::vector<double>{3, 1, 2}));
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(-100);   // clamps to first bin
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100);    // clamps to last bin
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h{0.0, 10.0, 5};
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h{0.0, 4.0, 4};
-  h.add(1.5, 10);
-  EXPECT_EQ(h.count(1), 10u);
-  EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Histogram, QuantileInterpolation) {
-  Histogram h{0.0, 10.0, 10};
-  for (int i = 0; i < 100; ++i) {
-    h.add(static_cast<double>(i) / 10.0);  // uniform over [0, 10)
-  }
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 0.5);
-  EXPECT_NEAR(h.quantile(0.1), 1.0, 0.5);
-}
-
-TEST(Histogram, Merge) {
-  Histogram a{0.0, 10.0, 5};
-  Histogram b{0.0, 10.0, 5};
-  a.add(1.0);
-  b.add(9.0);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 2u);
-  EXPECT_EQ(a.count(0), 1u);
-  EXPECT_EQ(a.count(4), 1u);
-}
-
-TEST(Histogram, MergeShapeMismatchThrows) {
-  Histogram a{0.0, 10.0, 5};
-  Histogram b{0.0, 10.0, 6};
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW((Histogram{1.0, 1.0, 5}), std::invalid_argument);
-  EXPECT_THROW((Histogram{2.0, 1.0, 5}), std::invalid_argument);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::invalid_argument);
-}
-
-TEST(Histogram, EmptyQuantileThrows) {
-  Histogram h{0.0, 1.0, 2};
-  EXPECT_THROW((void)h.quantile(0.5), std::logic_error);
-}
-
-TEST(Histogram, RenderContainsCounts) {
-  Histogram h{0.0, 2.0, 2};
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.5);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('2'), std::string::npos);
-}
-
 TEST(Percentage, Basics) {
   EXPECT_DOUBLE_EQ(percentage(1, 3), 25.0);
   EXPECT_DOUBLE_EQ(percentage(0, 5), 0.0);
