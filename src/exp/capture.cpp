@@ -1,9 +1,13 @@
 #include "exp/capture.hpp"
 
+#include <algorithm>
+
 #include "aware/observation.hpp"
 #include "exp/metadata.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/flow.hpp"
+#include "trace/io.hpp"
+#include "trace/pcap.hpp"
 #include "util/io_faults.hpp"
 
 namespace peerscope::exp {
@@ -16,6 +20,36 @@ namespace {
 }
 
 }  // namespace
+
+void write_capture(const p2p::Swarm& swarm, const RunSpec& spec,
+                   const CaptureTarget& target) {
+  const auto& population = swarm.population();
+  ExperimentMetadata meta;
+  meta.app = spec.profile.name;
+  meta.duration = spec.duration;
+  meta.announcements = population.registry().dump();
+  meta.impairment = spec.impairment;
+  meta.churn = spec.churn;
+  for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
+    const auto& info = population.peer(population.probe_ids()[i]);
+    const auto label = population.probe_specs()[i].label();
+    meta.probes.push_back({info.ep.addr, info.ep.as, info.ep.country,
+                           info.access.is_high_bandwidth(), label});
+    const net::Ipv4Addr probe = swarm.sink(i).probe();
+    auto records = swarm.sink(i).records();
+    std::sort(records.begin(), records.end(), trace::record_before);
+    trace::write_trace_binary(
+        target.dir / ExperimentMetadata::trace_filename(label), probe,
+        records);
+    if (target.pcap) {
+      trace::write_pcap(target.dir / (label + ".pcap"), probe, records);
+    }
+    if (target.csv) {
+      trace::write_trace_csv(target.dir / (label + ".csv"), probe, records);
+    }
+  }
+  write_metadata(target.dir / "experiment.meta", meta);
+}
 
 CaptureLoad load_capture(const std::filesystem::path& dir, bool salvage) {
   std::error_code ec;

@@ -1,14 +1,16 @@
-// Offline capture loading with diagnostics.
+// Capture directories: the stored form of one run, as the paper's
+// black-box method keeps each probe's packet trace and computes the
+// awareness statistics from the stored traces afterwards.
 //
-// `peerscope analyze DIR` used to die with an unhandled exception on a
-// missing, empty, or half-written capture directory. This module owns
-// the directory-level validation and trace loading so the CLI can map
-// every malformed-capture condition to one clean diagnostic and a
-// distinct exit code, and so the conditions are unit-testable without
-// spawning the binary. Salvage mode additionally tolerates individual
-// lost or corrupt traces: the affected probe contributes no
-// observations and the analysis aggregates over what survived —
-// matching the paper's own partially-lost campaign.
+// write_capture is what `peerscope run` stores; load_capture is what
+// `peerscope analyze DIR` reads back. The loader owns the
+// directory-level validation so the CLI can map every
+// malformed-capture condition to one clean diagnostic and a distinct
+// exit code, and so the conditions are unit-testable without spawning
+// the binary. Salvage mode additionally tolerates individual lost or
+// corrupt traces: the affected probe contributes no observations and
+// the analysis aggregates over what survived — matching the paper's
+// own partially-lost campaign.
 #pragma once
 
 #include <filesystem>
@@ -17,8 +19,25 @@
 #include <vector>
 
 #include "aware/experiment.hpp"
+#include "exp/runner.hpp"
 
 namespace peerscope::exp {
+
+/// Where a run stores its capture, and which copies of each trace it
+/// adds next to the PSBT file.
+struct CaptureTarget {
+  std::filesystem::path dir;
+  bool pcap = false;  // <label>.pcap, for Wireshark
+  bool csv = false;   // <label>.csv
+};
+
+/// Writes what load_capture reads: one `<label>.psct` per probe with
+/// its records sorted, the optional .pcap and .csv copies, then
+/// `experiment.meta` last, so a directory holding experiment.meta is
+/// always analyzable. Every file is written atomically. The swarm must
+/// have run `spec` with keep_records; `target.dir` must exist.
+void write_capture(const p2p::Swarm& swarm, const RunSpec& spec,
+                   const CaptureTarget& target);
 
 /// A capture directory that cannot be analyzed at all: missing or not
 /// a directory, no/invalid experiment.meta, or (outside salvage mode)

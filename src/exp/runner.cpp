@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "aware/observation.hpp"
+#include "exp/capture.hpp"
 #include "exp/journal.hpp"
 #include "exp/testbed.hpp"
 #include "obs/metrics.hpp"
@@ -34,7 +35,8 @@ aware::ExperimentObservations extract_observations(const p2p::Swarm& swarm) {
   return data;
 }
 
-RunResult run_experiment(const net::AsTopology& topo, const RunSpec& spec) {
+RunResult run_experiment(const net::AsTopology& topo, const RunSpec& spec,
+                         const CaptureTarget* capture) {
   if (spec.duration <= util::SimTime::zero()) {
     throw std::invalid_argument("run_experiment: duration must be positive");
   }
@@ -94,6 +96,7 @@ RunResult run_experiment(const net::AsTopology& topo, const RunSpec& spec) {
         throw DiscoveryDegraded(report.rejoins_missed);
       }
     }
+    if (capture != nullptr) write_capture(swarm, spec, *capture);
     result = {extract_observations(swarm), swarm.counters()};
   }
   // Run boundary = trace flush boundary: the ring's retained-event

@@ -2,8 +2,9 @@
 //
 // One RunSpec per (application, seed); run_experiments executes several
 // concurrently on a thread pool (each Swarm is fully self-contained),
-// which is how the benches produce several applications' data in one
-// pass.
+// which is how `reproduce` produces several applications' data in one
+// pass. run_experiment is the one run body: `peerscope run` stores its
+// capture through it too.
 #pragma once
 
 #include <span>
@@ -18,15 +19,7 @@
 
 namespace peerscope::exp {
 
-/// The engine's cancellation poll cadence, re-exported where the
-/// supervisor's deadline handling lives: once a CancelToken trips (or
-/// its deadline passes), the event loop notices within at most this
-/// many executed events — the bound
-/// tests/exp/supervisor_test.cpp:CancelPollStride pins. One constant,
-/// two names: sim::Engine::kCancelStride is the implementation,
-/// this alias is the supervision-facing contract.
-inline constexpr std::uint64_t kCancelPollStride =
-    sim::Engine::kCancelStride;
+struct CaptureTarget;  // exp/capture.hpp
 
 struct RunSpec {
   p2p::SystemProfile profile;
@@ -74,14 +67,17 @@ class DiscoveryDegraded : public std::runtime_error {
 };
 
 /// Runs one experiment on the given (finalized) topology with the
-/// Table I testbed and returns the extracted observations. Throws
-/// std::invalid_argument for a malformed spec (non-positive duration)
-/// and util::Cancelled when the spec's cancellation token trips.
+/// Table I testbed and returns the extracted observations. With a
+/// capture target (and spec.keep_records), the capture is written
+/// after the simulation and the re-join check, before extraction
+/// (exp/capture.hpp). Throws std::invalid_argument for a malformed
+/// spec (non-positive duration) and util::Cancelled when the spec's
+/// cancellation token trips.
 [[nodiscard]] RunResult run_experiment(const net::AsTopology& topo,
-                                       const RunSpec& spec);
+                                       const RunSpec& spec,
+                                       const CaptureTarget* capture = nullptr);
 
-/// Extraction only (for callers that keep the Swarm alive, e.g. to
-/// export trace files afterwards).
+/// Extraction only (for callers that keep the Swarm alive).
 [[nodiscard]] aware::ExperimentObservations extract_observations(
     const p2p::Swarm& swarm);
 

@@ -196,7 +196,9 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
               // sustained SLO violation is terminal (the next attempt
               // would violate the same objective) and distinguishable
               // downstream — the CLI maps this error prefix to exit
-              // code 10.
+              // code 10. The verdict is recorded here, on the run's
+              // thread, so it lands in this ring's flight dump.
+              PEERSCOPE_TRACE_INSTANT("watchdog.slo_violation");
               status.state = RunState::kFailed;
               status.attempts = attempt;
               status.error = "slo violation: " + watchdog->reason();

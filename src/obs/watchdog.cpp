@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace peerscope::obs {
 
@@ -37,11 +36,7 @@ void Watchdog::stop() {
 void Watchdog::trip(std::string reason) {
   reason_ = std::move(reason);
   tripped_.store(true, std::memory_order_release);
-  PEERSCOPE_TRACE_INSTANT("watchdog.slo_violation");
   PEERSCOPE_METRIC_INC("watchdog.trips");
-  // Rings are per-thread and this thread exits with the trip: flush
-  // now or the verdict never reaches the run's trace timeline.
-  trace_flush();
   token_->request();
 }
 

@@ -10,12 +10,13 @@
 // Watchdog turns declarative service-level objectives (events/s
 // floor, sim-time stall window, rejoin-latency p99 ceiling) into
 // enforcement: a background thread polls RunProgress, counts
-// consecutive violating windows, and on a sustained violation emits a
-// trace instant, records metrics, and requests cancellation on the
-// run's CancelToken. The supervisor distinguishes a watchdog trip
-// from an ordinary deadline via tripped() and maps it to
-// kExitSloViolation=10 with a flight-recorder dump — the run dies
-// with a diagnosis instead of hanging in a black box.
+// consecutive violating windows, and on a sustained violation records
+// metrics and requests cancellation on the run's CancelToken. The
+// supervisor distinguishes a watchdog trip from an ordinary deadline
+// via tripped(), records the `watchdog.slo_violation` instant on the
+// run's own thread and maps it to kExitSloViolation=10 with a
+// flight-recorder dump — the run dies with a diagnosis instead of
+// hanging in a black box.
 //
 // The watchdog can only interrupt a run that polls its token; a
 // callback wedged *inside* one event is beyond cooperative
@@ -75,9 +76,9 @@ struct SloSpec {
 };
 
 /// Watches one RunProgress against one SloSpec for the lifetime of
-/// the object. On sustained violation: trace instant, watchdog.*
-/// metrics, token->request(), and tripped()/reason() latch for the
-/// supervisor to inspect after the run unwinds.
+/// the object. On sustained violation: watchdog.* metrics,
+/// token->request(), and tripped()/reason() latch for the supervisor
+/// to inspect after the run unwinds.
 class Watchdog {
  public:
   Watchdog(SloSpec spec, RunProgress* progress, util::CancelToken* token);

@@ -134,9 +134,9 @@ class Engine {
 
   /// Poll stride for the cancellation token: coarse enough that the
   /// steady-clock read in deadline checks never shows up in profiles,
-  /// fine enough that a deadline cuts a run off within microseconds.
-  /// exp::kCancelPollStride re-exports this for the supervisor's
-  /// latency math — keep them one constant.
+  /// fine enough that a deadline cuts a run off within microseconds:
+  /// once a token trips, the loop notices within this many executed
+  /// events (tests/exp/supervisor_test.cpp:CancelPollStride).
   static constexpr std::uint64_t kCancelStride = 256;
 
   /// Installs a sim-time sampling hook: `fn(index, at)` fires once

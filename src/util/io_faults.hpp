@@ -27,9 +27,9 @@
 // are drawn from the seeded RNG so chaos sweeps explore different
 // corruption sites per seed while staying reproducible.
 //
-// Activation: `peerscope --io-faults <spec> [--io-faults-seed N]` or
-// env `PEERSCOPE_IO_FAULTS` / `PEERSCOPE_IO_FAULTS_SEED`. Injections
-// bump `io.*` counters and emit an `io.fault_injected` trace instant.
+// Activation: `peerscope --io-faults <spec> [--io-faults-seed N]`.
+// Injections bump `io.*` counters and emit an `io.fault_injected`
+// trace instant.
 #pragma once
 
 #include <sys/types.h>

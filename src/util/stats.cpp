@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace peerscope::util {
 
@@ -55,15 +54,6 @@ double percentile_inplace(std::span<double> samples, double q) {
   const std::size_t hi = std::min(lo + 1, samples.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples[lo] + frac * (samples[hi] - samples[lo]);
-}
-
-double percentile(std::span<const double> samples, double q) {
-  std::vector<double> copy(samples.begin(), samples.end());
-  return percentile_inplace(copy, q);
-}
-
-double median(std::span<const double> samples) {
-  return percentile(samples, 0.5);
 }
 
 double percentage(double part, double complement) {

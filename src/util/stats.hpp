@@ -37,16 +37,9 @@ class OnlineStats {
 };
 
 /// Percentile with linear interpolation between closest ranks
-/// (the "linear" / type-7 estimator). `q` in [0, 1]. The input span is
-/// copied; use `percentile_inplace` to avoid the copy when the caller
-/// owns the buffer.
-[[nodiscard]] double percentile(std::span<const double> samples, double q);
-
-/// As `percentile` but sorts the given buffer in place.
+/// (the "linear" / type-7 estimator). `q` in [0, 1]. Sorts the given
+/// buffer in place.
 [[nodiscard]] double percentile_inplace(std::span<double> samples, double q);
-
-/// Median shorthand.
-[[nodiscard]] double median(std::span<const double> samples);
 
 /// Ratio helper: percentage a/(a+b), 0 when both are zero. Used all over
 /// the preference framework (Eqs. 7-8 of the paper).

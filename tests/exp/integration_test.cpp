@@ -8,10 +8,8 @@
 #include <unistd.h>
 
 #include "aware/report.hpp"
+#include "exp/capture.hpp"
 #include "exp/runner.hpp"
-#include "exp/testbed.hpp"
-#include "p2p/swarm.hpp"
-#include "trace/binary_format.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -158,9 +156,9 @@ TEST_F(IntegrationTest, AsMatrixIntraBiasOrdering) {
 }
 
 TEST(OfflinePath, TraceFilesReproduceOnlineAnalysis) {
-  // Run a small experiment keeping raw records, write every probe's
-  // trace to disk, read it back, rebuild flow tables offline, and
-  // compare the full awareness table against the online one.
+  // Run a small experiment that writes its capture the way
+  // `peerscope run` does, load it back the way `peerscope analyze`
+  // does, and compare the full awareness table against the online one.
   RunSpec spec;
   spec.profile = p2p::SystemProfile::tvants();
   spec.profile.population.background_peers = 100;
@@ -168,38 +166,17 @@ TEST(OfflinePath, TraceFilesReproduceOnlineAnalysis) {
   spec.duration = SimTime::seconds(20);
   spec.keep_records = true;
 
-  const Testbed testbed = Testbed::table1();
-  p2p::SwarmConfig config;
-  config.profile = spec.profile;
-  config.seed = spec.seed;
-  config.duration = spec.duration;
-  config.keep_records = true;
-  p2p::Swarm swarm{topo(), testbed.probes(), config};
-  swarm.run();
+  const CaptureTarget capture{
+      std::filesystem::temp_directory_path() /
+      ("peerscope_integration_" + std::to_string(::getpid()))};
+  std::filesystem::create_directories(capture.dir);
+  const auto online = run_experiment(topo(), spec, &capture).observations;
+  const auto offline = load_capture(capture.dir, /*salvage=*/false).data;
+  std::filesystem::remove_all(capture.dir);
 
-  const auto online = extract_observations(swarm);
-
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_integration_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-
-  aware::ExperimentObservations offline;
-  offline.app = online.app;
-  offline.duration = online.duration;
-  offline.probes = online.probes;
-  const auto& pop = swarm.population();
-  for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
-    const auto path = dir / ("probe" + std::to_string(i) + ".psct");
-    trace::write_trace_binary(path, swarm.sink(i).probe(),
-                              swarm.sink(i).records());
-    const trace::TraceFile file = trace::read_trace_binary(path);
-    const trace::FlowTable flows =
-        trace::FlowTable::from_records(file.probe, file.records);
-    offline.per_probe.push_back(aware::extract_observations(
-        flows, pop.registry(), pop.probe_addrs()));
-  }
-  std::filesystem::remove_all(dir);
-
+  EXPECT_EQ(offline.app, online.app);
+  EXPECT_EQ(offline.duration, online.duration);
+  ASSERT_EQ(offline.per_probe.size(), online.per_probe.size());
   const auto online_rows = aware::awareness_table(online);
   const auto offline_rows = aware::awareness_table(offline);
   ASSERT_EQ(online_rows.size(), offline_rows.size());

@@ -150,17 +150,11 @@ TEST_F(SupervisorTest, PermanentFailureExhaustsRetries) {
 
 // --- cancellation poll cadence ---------------------------------------
 
-TEST(CancelPollStride, SupervisorConstantIsTheEngineStride) {
-  // One constant, two names: the supervision-facing alias must track
-  // the engine's actual poll cadence or the latency bound below lies.
-  EXPECT_EQ(kCancelPollStride, sim::Engine::kCancelStride);
-}
-
 TEST(CancelPollStride, CancellationLatencyStaysBounded) {
   // An unbounded self-rescheduling event chain trips the token from
   // inside a callback; the engine must notice at the next poll
-  // boundary — within kCancelPollStride executed events — no matter
-  // how much work remains scheduled.
+  // boundary — within sim::Engine::kCancelStride executed events — no
+  // matter how much work remains scheduled.
   sim::Engine engine;
   util::CancelToken token;
   engine.set_cancel(&token);
@@ -172,7 +166,7 @@ TEST(CancelPollStride, CancellationLatencyStaysBounded) {
   engine.schedule_after(SimTime::nanos(10), tick);
   EXPECT_THROW(engine.run_until(SimTime::seconds(1)), util::Cancelled);
   EXPECT_GE(engine.executed(), kTripAfter);
-  EXPECT_LE(engine.executed(), kTripAfter + kCancelPollStride);
+  EXPECT_LE(engine.executed(), kTripAfter + sim::Engine::kCancelStride);
 }
 
 TEST(BackoffDelay, InjectedConstantJitterMakesDelaysExact) {

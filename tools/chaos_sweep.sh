@@ -22,15 +22,14 @@
 #   malformed --io-faults spec     4               rejected before running
 #
 # Any other exit code, a missing sidecar, or divergent transient-run
-# bytes fails the sweep. Salvage accounting lines are collected into
-# $OUT/salvage_accounting.txt for CI artifact upload.
+# bytes fails the sweep. It runs as the ctest `chaos.cli_sweep`
+# (label `chaos`).
 #
-# Usage: tools/chaos_sweep.sh [BUILD_DIR] [OUT_DIR]
+# Usage: tools/chaos_sweep.sh PEERSCOPE
+# Runs in a fresh mktemp directory, removed on exit.
 set -u
 
-BUILD_DIR="${1:-build}"
-OUT="${2:-${BUILD_DIR}/chaos-sweep}"
-PEERSCOPE="${BUILD_DIR}/tools/peerscope"
+PEERSCOPE="$1"
 APP=tvants
 SEED=1
 DURATION=5
@@ -39,15 +38,14 @@ if [[ ! -x "${PEERSCOPE}" ]]; then
   echo "chaos-sweep: ${PEERSCOPE} not found (build first)" >&2
   exit 2
 fi
-rm -rf "${OUT}"
-mkdir -p "${OUT}"
-ACCOUNTING="${OUT}/salvage_accounting.txt"
-: > "${ACCOUNTING}"
+OUT="$(mktemp -d)" || exit 2
+trap 'rm -rf "${OUT}"' EXIT
 
 FAILURES=0
 
 # run_cell NAME EXPECTED_EXIT CMD... — runs a cell, captures its
-# stderr/stdout to $OUT/NAME.log, asserts the exit code.
+# stderr/stdout to $OUT/NAME.log, asserts the exit code and prints the
+# log of a cell that missed it.
 run_cell() {
   local name="$1" expected="$2"
   shift 2
@@ -55,7 +53,8 @@ run_cell() {
   "$@" >"${log}" 2>&1
   local got=$?
   if [[ "${got}" -ne "${expected}" ]]; then
-    echo "FAIL ${name}: exit ${got}, expected ${expected} (see ${log})" >&2
+    echo "FAIL ${name}: exit ${got}, expected ${expected}" >&2
+    cat "${log}" >&2
     FAILURES=$((FAILURES + 1))
   else
     echo "ok   ${name}: exit ${got}"
@@ -135,8 +134,7 @@ run_cell analyze-strict 6 \
   "${PEERSCOPE}" analyze "${OUT}/bitrot"
 run_cell analyze-salvage 0 \
   "${PEERSCOPE}" analyze "${OUT}/bitrot" --salvage
-grep '^salvage ' "${OUT}/analyze-salvage.log" >> "${ACCOUNTING}" || true
-if ! grep -q "^salvage ${VICTIM}:" "${ACCOUNTING}"; then
+if ! grep -q "^salvage ${VICTIM}:" "${OUT}/analyze-salvage.log"; then
   echo "FAIL analyze-salvage: no accounting line for ${VICTIM}" >&2
   FAILURES=$((FAILURES + 1))
 fi
@@ -150,9 +148,6 @@ run_cell trace-summary 7 \
 run_cell bad-spec 4 \
   "${PEERSCOPE}" run --app "${APP}" --seed "${SEED}" --duration 1 \
   --out "${OUT}/bad-spec" --io-faults 'bogus@@'
-
-echo "salvage accounting collected in ${ACCOUNTING}:"
-cat "${ACCOUNTING}"
 
 if [[ "${FAILURES}" -ne 0 ]]; then
   echo "chaos-sweep: ${FAILURES} cell(s) failed" >&2

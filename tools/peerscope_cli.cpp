@@ -1,148 +1,23 @@
-// peerscope — command-line front end.
+// peerscope — command-line front end. `peerscope --help` prints the
+// usage text, which is generated from the two tables below; README.md
+// walks through each command.
 //
-//   peerscope --help | -h
-//       Print the usage text on stdout and exit 0.
-//   peerscope testbed
-//       Print the Table I testbed and its host/site/AS counts.
-//   peerscope run --app <name> [--seed N] [--duration S] --out DIR
-//                 [--pcap] [--csv] [supervision flags] [fault flags]
-//       Run one experiment, store per-probe PSBT traces (per-record
-//       CRC-32C + sync markers, DESIGN.md §15) plus the experiment
-//       metadata sidecar needed for offline analysis. Injected faults
-//       are recorded in the sidecar. The run is supervised: failures
-//       are retried per --retries, --deadline cuts off an overlong
-//       simulation, and completion is journaled in
-//       DIR/experiment.journal so --resume skips an already-finished
-//       run after a crash.
-//   peerscope analyze DIR [--salvage]
-//       Reload stored traces + metadata and print the full analysis
-//       (summary, self-bias, awareness table, Figure 2 AS x AS matrix)
-//       — the paper's pipeline applied to on-disk captures. --salvage
-//       recovers what it can from corrupt/truncated traces instead of
-//       aborting. A missing, empty, or un-analyzable capture
-//       directory exits with code 6.
-//   peerscope report --app <name> [--seed N] [--duration S]
-//                    [supervision flags] [fault flags]
-//       Run and analyse in one step without storing traces.
-//   peerscope reproduce [--out FILE] [--seed N] [--duration S]
-//                       [supervision flags]
-//       Rerun every experiment and write a markdown report with
-//       paper-vs-measured rows for all tables and figures. Supervised:
-//       an application that fails or times out is marked in the report
-//       instead of aborting the batch, and the process exits 5
-//       (partial success). The journal lands next to the report file;
-//       --resume skips finished applications and the resumed report is
-//       byte-identical to an uninterrupted one. After a complete batch
-//       the paper's claims (aware/claims.hpp) are checked: one stderr
-//       summary line, plus a line per claim off its expected verdict.
-//
-// Supervision flags (run/report/reproduce; all default to off):
-//   --retries N       extra attempts after a failed run (not after a
-//                     deadline timeout), exponential backoff + jitter
-//   --deadline S      per-attempt wall-clock deadline in seconds,
-//                     enforced cooperatively between simulation events
-//   --resume          replay the journal; skip runs whose results are
-//                     already durably recorded (run/reproduce only)
-//
-// Fault flags (run/report; all default to off):
-//   --loss P          per-packet loss probability (0..1)
-//   --loss-burst N    mean loss burst length in packets (Gilbert–Elliott)
-//   --reorder P       capture reordering probability
-//   --dup P           capture duplication probability
-//   --outage R        transient link outages per second (per receiver)
-//   --outage-ms MS    outage duration
-//   --churn S         mean probe online session (s); probes crash/rejoin
-//   --bg-churn S      mean background-peer online session (s)
-//   --nat-fail P      P(contact to NAT'd/firewalled peer fails)
-//
-// Discovery flags (run/report; all default to off — the legacy inline
-// tracker path stays byte-identical without them):
-//   --discovery B         primary backend: tracker | dht | gossip
-//   --fallback B          failover backend after consecutive primary
-//                         failures (requires --discovery)
-//   --tracker-outage-at S tracker hard-outage start (s into the run)
-//   --tracker-outage-for S  tracker hard-outage duration (s)
-//   --rejoin-deadline S   re-join SLO: any probe whose discovery
-//                         re-join exceeds S seconds degrades the run
-//                         to exit code 8 (flight recorder dumped)
-//   --nat-matrix F        arm the NAT traversal matrix; F = fraction
-//                         of NAT'd peers that are symmetric (0..1)
-//   --flash-crowd N       channel-zap flash crowd of N arrivals
-//   --flash-crowd-at S    flash-crowd instant (default 1/3 into run)
-//   --zap-reuse P         known-peer fraction kept across the zap
-//   --session-tail A      Pareto shape for heavy-tailed sessions
-//                         (> 1 arms it; 0 keeps exponential draws)
-//
-// Apps: pplive | sopcast | tvants | pplive-popular | napawine-proto
-//
-// Global flags (any command):
-//   --metrics PATH    write the observability sidecar (metrics.json) to
-//                     PATH at exit; e.g. `--metrics traces/metrics.json`
-//                     next to experiment.meta. Without the flag no
-//                     registry is installed and instrumentation is
-//                     no-op (DESIGN.md §9).
-//   --trace PATH      record a structured event timeline and write it
-//                     as Chrome-trace-compatible trace.json at exit
-//                     (schema peerscope.trace/1, DESIGN.md §12); read
-//                     it with `peerscope trace-summary`, about:tracing,
-//                     or ui.perfetto.dev. Without the flag no recorder
-//                     is installed and the hooks are no-op.
-//   --io-faults SPEC  install a deterministic storage fault schedule
-//                     (DESIGN.md §15 grammar, e.g.
-//                     "enospc@4096:trace.bin,fsync-fail#2"); every
-//                     file peerscope reads or writes routes through
-//                     the injectable shim. Also via env
-//                     PEERSCOPE_IO_FAULTS (flag wins). A malformed
-//                     schedule exits 4.
-//   --io-faults-seed N  seed for fault offsets the schedule leaves
-//                     unset (env PEERSCOPE_IO_FAULTS_SEED).
-//
-// trace-summary: `peerscope trace-summary PATH [--top N]
-// [--deterministic]` profiles a trace.json — per-span-path self/total
-// wall time, sorted by self time ("--top N" rows, default 20), plus a
-// counter-event section (totals and last values per counter name);
-// --deterministic prints the canonical reproducible rendering
-// instead (what CI diffs across fixed-seed runs).
-//
-// watch: `peerscope watch STATUS.json [--once] [--interval-ms N]`
-// tails the atomically-rewritten status file a supervised run
-// publishes via --watch-status: per-run supervisor state, attempts,
-// events/s, sim time, and ETA. Re-renders until the batch phase turns
-// "done" (--once prints a single snapshot). Reads are torn-free
-// because every status rewrite is an atomic rename.
-//
-// timeline: `peerscope timeline SERIES.psts [--csv] [--deterministic]
-// [--salvage]` renders a PSTS time-series sidecar (written via the
-// global --series flag) as markdown (default), long-form CSV, or the
-// canonical deterministic rendering CI diffs across pool sizes.
-// --salvage recovers every interval outside damaged regions instead
-// of aborting on a corrupt file (exit 7).
-//
-// Supervised runs accept declarative SLOs (DESIGN.md §17): an
-// events/s floor (--slo-events-floor), a sim-time stall window
-// (--slo-stall), and a discovery rejoin-latency p99 ceiling
-// (--slo-rejoin-p99-ms). A watchdog thread polls live progress and a
-// sustained violation cancels the run, dumps the flight recorder
-// (journaled runs), and exits 10.
-//
-// Exit codes: 0 success, 1 runtime error, 2 usage error,
-//             3 unknown application, 4 invalid flag value (including
-//               an integer flag that is not a whole integer),
-//             5 partial success (some supervised runs produced no
-//               result; the report marks them), 6 bad capture
-//               directory (analyze), 7 bad trace file
-//               (trace-summary: unreadable, wrong schema, or no
-//               salvageable events), 8 degraded (the run completed
-//               but a discovery re-join missed --rejoin-deadline),
-//             10 SLO violation (the watchdog cancelled a supervised
-//               run).
+// kCommands names every command, its operand (analyze DIR,
+// trace-summary PATH, watch STATUS.json, timeline SERIES.psts) and its
+// body. kFlags lists every flag once: the commands that take it, the
+// commands that require it, its value placeholder, and the setter that
+// stores it into Args. A flag every command takes is global and may
+// appear anywhere on the line. parse_args is the one loop that reads a
+// command line against both tables; every numeric value goes through
+// one strict integer parser or one strict real parser. The exit codes
+// are the kExit* constants, registered in tools/exit_codes.def.
 
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -150,29 +25,23 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
-#include "aware/observation.hpp"
 #include "aware/report.hpp"
 #include "exp/capture.hpp"
-#include "exp/metadata.hpp"
 #include "exp/runner.hpp"
+#include "exp/status.hpp"
 #include "exp/supervisor.hpp"
 #include "exp/testbed.hpp"
 #include "net/topology.hpp"
-#include "exp/journal.hpp"
-#include "exp/status.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
 #include "obs/watchdog.hpp"
-#include "p2p/swarm.hpp"
 #include "tools/reproduce.hpp"
-#include "trace/binary_format.hpp"
-#include "trace/io.hpp"
-#include "trace/pcap.hpp"
 #include "util/io_faults.hpp"
 #include "util/salvage.hpp"
 #include "util/table.hpp"
@@ -181,98 +50,174 @@ using namespace peerscope;
 
 namespace {
 
-// Exit codes (documented in the header comment): every argument-error
-// path prints the usage text and returns a distinct nonzero code so
-// scripts can tell "you typed it wrong" (2) from "no such app" (3)
-// from "value out of range" (4); 1 is reserved for runtime failures.
+// Every argument error prints the usage text and returns a distinct
+// nonzero code, so scripts can tell "you typed it wrong" (2) from "no
+// such app" (3) from "value out of range" (4); 1 is reserved for
+// runtime failures.
 constexpr int kExitUsage = 2;
 constexpr int kExitUnknownApp = 3;
 constexpr int kExitBadValue = 4;
-constexpr int kExitPartial = tools::kExitPartialSuccess;  // 5
 constexpr int kExitBadCapture = 6;
 constexpr int kExitBadTrace = 7;
-// A run that finished the simulation but missed its discovery re-join
-// SLO (exp::DiscoveryDegraded): distinct from 1 so the CI outage smoke
-// can tell "degraded as designed" from a genuine crash.
+// The run finished but missed its discovery re-join SLO
+// (exp::DiscoveryDegraded): "degraded as designed", not a crash.
 constexpr int kExitDegraded = 8;
 // The SLO watchdog cancelled a run after a sustained violation of a
-// declared objective (events/s floor, sim-time stall, rejoin p99
-// ceiling): distinct from 1 and from 8 so the CI watch smoke can
-// assert "the watchdog fired" rather than "something crashed".
+// declared objective: "the watchdog fired", not a crash.
 constexpr int kExitSloViolation = 10;
 
-int usage(int code = kExitUsage) {
-  // --help asked for the text: stdout and exit 0. Every other caller
-  // is reporting a mistake.
-  (code == 0 ? std::cout : std::cerr) <<
-      R"(usage:
-  peerscope --help | -h
-  peerscope testbed
-  peerscope run --app <name> [--seed N] [--duration S] --out DIR [--pcap] [--csv] [supervision] [fault flags]
-  peerscope analyze DIR [--salvage]
-  peerscope report --app <name> [--seed N] [--duration S] [supervision] [fault flags]
-  peerscope reproduce [--out FILE] [--seed N] [--duration S] [supervision]
-  peerscope trace-summary PATH [--top N] [--deterministic]
-  peerscope watch STATUS.json [--once] [--interval-ms N]
-  peerscope timeline SERIES.psts [--csv] [--deterministic] [--salvage]
+/// The commands, one bit each, so a flag names the commands that take
+/// it as a mask.
+enum : unsigned {
+  kTestbed = 1U << 0,
+  kRun = 1U << 1,
+  kAnalyze = 1U << 2,
+  kReport = 1U << 3,
+  kReproduce = 1U << 4,
+  kTraceSummary = 1U << 5,
+  kWatch = 1U << 6,
+  kTimeline = 1U << 7,
+  kGlobal = (1U << 8) - 1,  // every command takes it
+  kExperiment = kRun | kReport,
+  kSupervised = kRun | kReport | kReproduce,
+};
 
-supervision: --retries N  --deadline S  --resume
-             --watch-status PATH  (publish live status.json for `watch`)
-             --slo-events-floor X  --slo-stall S  --slo-rejoin-p99-ms M
-             (declarative SLOs; sustained violation cancels -> exit 10)
-fault flags: --loss P  --loss-burst N  --reorder P  --dup P
-             --outage R  --outage-ms MS  --churn S  --bg-churn S  --nat-fail P
-discovery:   --discovery <tracker|dht|gossip>  --fallback <tracker|dht|gossip>
-             --tracker-outage-at S  --tracker-outage-for S
-             --rejoin-deadline S  --nat-matrix F  --flash-crowd N
-             --flash-crowd-at S  --zap-reuse P  --session-tail A
-global flags: --metrics PATH   (write metrics.json sidecar at exit)
-              --trace PATH     (write trace.json event timeline at exit)
-              --series PATH    (write the PSTS time-series sidecar at
-                                exit; read it with `peerscope timeline`)
-              --series-interval S  (sampling grid in sim seconds,
-                                default 10; requires --series)
-              --io-faults SPEC [--io-faults-seed N]
-                               (inject storage faults, DESIGN.md §15)
-
-exit codes: 0 ok, 1 runtime error, 2 usage, 3 unknown app, 4 bad value,
-            5 partial success, 6 bad capture directory, 7 bad trace file,
-            8 degraded (discovery re-join missed --rejoin-deadline),
-            10 SLO violation (watchdog cancelled a supervised run)
-
-apps: pplive | sopcast | tvants | pplive-popular | napawine-proto
-)";
-  return code;
-}
-
-std::optional<p2p::SystemProfile> profile_by_name(const std::string& name) {
-  if (name == "pplive") return p2p::SystemProfile::pplive();
-  if (name == "sopcast") return p2p::SystemProfile::sopcast();
-  if (name == "tvants") return p2p::SystemProfile::tvants();
-  if (name == "pplive-popular") return p2p::SystemProfile::pplive_popular();
-  if (name == "napawine-proto") {
-    return p2p::SystemProfile::napawine_prototype();
-  }
-  return std::nullopt;
-}
-
-struct RunArgs {
+/// Everything a command line can say; each command reads its part.
+struct Args {
+  std::filesystem::path operand;
+  // run, report, reproduce
   p2p::SystemProfile profile;
   std::uint64_t seed = 42;
-  std::int64_t duration_s = 120;
+  std::optional<std::int64_t> duration_s;  // unset: the command's default
   std::filesystem::path out;
   bool pcap = false;
-  bool csv = false;
+  bool csv = false;  // run: .csv trace copies; timeline: CSV rendering
   int retries = 0;
   double deadline_s = 0.0;
   bool resume = false;
-  // Declarative SLOs + live status publishing (DESIGN.md §17).
   obs::SloSpec slo;
   std::filesystem::path status_path;
   sim::ImpairmentSpec impairment;
   p2p::ChurnSpec churn;
   p2p::DiscoverySpec discovery;
+  // analyze, trace-summary, watch, timeline
+  bool salvage = false;
+  bool deterministic = false;
+  std::size_t top_n = 20;
+  bool once = false;
+  std::chrono::milliseconds interval{500};
+  // global
+  std::filesystem::path metrics_path;
+  std::filesystem::path trace_path;
+  std::filesystem::path series_path;
+  std::optional<double> series_interval_s;
+  std::string io_faults;
+  std::uint64_t io_faults_seed = 0;
 };
+
+/// Stores a flag's value into Args. Returns 0, or the exit code for a
+/// value it refuses after printing why.
+using Setter =
+    std::function<int(Args&, std::string_view flag, const char* value)>;
+
+struct Flag {
+  std::string_view name;
+  unsigned commands;  // the commands that take it
+  const char* value;  // placeholder in the usage text; nullptr: a switch
+  Setter set;
+  unsigned required = 0;  // the commands that refuse to run without it
+};
+
+int bad_value(std::string_view flag, const char* text) {
+  std::cerr << "invalid value for " << flag << ": " << text << '\n';
+  return kExitBadValue;
+}
+
+/// The integer parser: the whole token is base-10 digits with a value
+/// in [lo, hi], so `--seed banana` cannot become seed 0, `--duration
+/// 5x` a 5 s run, nor `--flash-crowd 2.5` two arrivals.
+template <typename Store>
+Setter integer(std::uint64_t lo, std::uint64_t hi, Store store) {
+  return [=](Args& args, std::string_view flag, const char* text) {
+    const char* last = text + std::strlen(text);
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(text, last, v);
+    if (ec != std::errc{} || end != last || v < lo || v > hi) {
+      return bad_value(flag, text);
+    }
+    store(args, v);
+    return 0;
+  };
+}
+
+/// The real parser: the whole token is a decimal number in [lo, hi].
+/// NaN compares false both ways, so it is out of every range.
+template <typename Store>
+Setter real(double lo, double hi, Store store) {
+  return [=](Args& args, std::string_view flag, const char* text) {
+    const char* last = text + std::strlen(text);
+    double v = 0;
+    const auto [end, ec] = std::from_chars(text, last, v);
+    if (ec != std::errc{} || end != last || !(v >= lo && v <= hi)) {
+      return bad_value(flag, text);
+    }
+    store(args, v);
+    return 0;
+  };
+}
+
+util::SimTime seconds_to_simtime(double s) {
+  return util::SimTime::nanos(static_cast<std::int64_t>(s * 1e9));
+}
+
+/// A discovery instant or window, in seconds up to 1e6.
+Setter seconds(util::SimTime p2p::DiscoverySpec::*field) {
+  return real(0.0, 1e6, [field](Args& args, double s) {
+    args.discovery.*field = seconds_to_simtime(s);
+  });
+}
+
+Setter path(std::filesystem::path Args::*field) {
+  return [field](Args& args, std::string_view, const char* text) {
+    args.*field = text;
+    return 0;
+  };
+}
+
+Setter on(bool Args::*field) {
+  return [field](Args& args, std::string_view, const char*) {
+    args.*field = true;
+    return 0;
+  };
+}
+
+Setter backend(p2p::DiscoveryBackendKind p2p::DiscoverySpec::*field) {
+  return [field](Args& args, std::string_view flag, const char* text) {
+    const auto kind = p2p::parse_backend_kind(text);
+    if (!kind) return bad_value(flag, text);
+    args.discovery.*field = *kind;
+    return 0;
+  };
+}
+
+int set_app(Args& args, std::string_view, const char* name) {
+  const std::string_view app = name;
+  if (app == "pplive") {
+    args.profile = p2p::SystemProfile::pplive();
+  } else if (app == "sopcast") {
+    args.profile = p2p::SystemProfile::sopcast();
+  } else if (app == "tvants") {
+    args.profile = p2p::SystemProfile::tvants();
+  } else if (app == "pplive-popular") {
+    args.profile = p2p::SystemProfile::pplive_popular();
+  } else if (app == "napawine-proto") {
+    args.profile = p2p::SystemProfile::napawine_prototype();
+  } else {
+    std::cerr << "unknown app: " << name << '\n';
+    return kExitUnknownApp;
+  }
+  return 0;
+}
 
 /// --seed takes any 64-bit value; --duration at most what
 /// util::SimTime::seconds can represent.
@@ -280,243 +225,131 @@ constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 constexpr auto kMaxDurationS =
     static_cast<std::uint64_t>(util::SimTime::max().ns() / 1'000'000'000);
 
-/// Strict integer parse for every integer flag (--seed, --duration,
-/// --retries, --flash-crowd, --top, --interval-ms, --io-faults-seed):
-/// the whole token must be base-10 digits with a value in [lo, hi].
-/// Otherwise prints the diagnostic and returns nullopt (-> exit 4), so
-/// `--seed banana` cannot silently become seed 0, `--duration 5x` a
-/// 5 s run, nor `--flash-crowd 2.5` two arrivals.
-std::optional<std::uint64_t> parse_integer(std::string_view flag,
-                                           const char* text, std::uint64_t lo,
-                                           std::uint64_t hi) {
-  const char* last = text + std::strlen(text);
-  std::uint64_t v = 0;
-  const auto [end, ec] = std::from_chars(text, last, v);
-  if (ec == std::errc{} && end == last && v >= lo && v <= hi) return v;
-  std::cerr << "invalid value for " << flag << ": " << text << '\n';
-  return std::nullopt;
-}
-
-/// Strict numeric parse: the whole token must be a number in
-/// [lo, hi]. nullopt (-> exit 4) otherwise — a mistyped probability
-/// must not silently become 0.
-std::optional<double> parse_double(const char* text, double lo, double hi) {
-  if (!text || !*text) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || v < lo || v > hi) return std::nullopt;
-  return v;
-}
-
-util::SimTime seconds_to_simtime(double s) {
-  return util::SimTime::nanos(static_cast<std::int64_t>(s * 1e9));
-}
-
-/// Parses run/report arguments. On failure returns nullopt with `err`
-/// set to the exit code the caller should pass to usage().
-std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
-                                      int& err) {
-  RunArgs args;
-  bool have_app = false;
-  err = kExitUsage;
-  for (int i = first; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // Numeric fault knobs share one code path: flag -> (target, range).
-    auto numeric = [&](double lo, double hi,
-                       double& target) -> bool {
-      const char* v = value();
-      if (!v) {
-        std::cerr << flag << " needs a value\n";
-        err = kExitUsage;
-        return false;
-      }
-      const auto parsed = parse_double(v, lo, hi);
-      if (!parsed) {
-        std::cerr << "invalid value for " << flag << ": " << v << '\n';
-        err = kExitBadValue;
-        return false;
-      }
-      target = *parsed;
-      return true;
-    };
-    // Integer knobs: the same contract through parse_integer.
-    auto integer = [&](std::uint64_t lo,
-                       std::uint64_t hi) -> std::optional<std::uint64_t> {
-      const char* v = value();
-      if (!v) {
-        std::cerr << flag << " needs a value\n";
-        err = kExitUsage;
-        return std::nullopt;
-      }
-      const auto parsed = parse_integer(flag, v, lo, hi);
-      if (!parsed) err = kExitBadValue;
-      return parsed;
-    };
-    if (flag == "--app") {
-      const char* name = value();
-      if (!name) {
-        std::cerr << "--app needs a value\n";
-        return std::nullopt;
-      }
-      const auto profile = profile_by_name(name);
-      if (!profile) {
-        std::cerr << "unknown app: " << name << '\n';
-        err = kExitUnknownApp;
-        return std::nullopt;
-      }
-      args.profile = *profile;
-      have_app = true;
-    } else if (flag == "--seed") {
-      const auto parsed = integer(0, kMaxSeed);
-      if (!parsed) return std::nullopt;
-      args.seed = *parsed;
-    } else if (flag == "--duration") {
-      const auto parsed = integer(1, kMaxDurationS);
-      if (!parsed) return std::nullopt;
-      args.duration_s = static_cast<std::int64_t>(*parsed);
-    } else if (flag == "--out") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << "--out needs a value\n";
-        return std::nullopt;
-      }
-      args.out = v;
-    } else if (flag == "--pcap") {
-      args.pcap = true;
-    } else if (flag == "--csv") {
-      args.csv = true;
-    } else if (flag == "--retries") {
-      const auto parsed = integer(0, 100);
-      if (!parsed) return std::nullopt;
-      args.retries = static_cast<int>(*parsed);
-    } else if (flag == "--deadline") {
-      double s = 0;
-      if (!numeric(0.0, 86'400.0, s)) return std::nullopt;
-      args.deadline_s = s;
-    } else if (flag == "--resume") {
-      args.resume = true;
-    } else if (flag == "--watch-status") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << "--watch-status needs a value\n";
-        return std::nullopt;
-      }
-      args.status_path = v;
-    } else if (flag == "--slo-events-floor") {
-      if (!numeric(0.0, 1e18, args.slo.events_per_s_floor)) {
-        return std::nullopt;
-      }
-    } else if (flag == "--slo-stall") {
-      if (!numeric(0.0, 86'400.0, args.slo.stall_window_s)) {
-        return std::nullopt;
-      }
-    } else if (flag == "--slo-rejoin-p99-ms") {
-      double ms = 0;
-      if (!numeric(0.0, 1e9, ms)) return std::nullopt;
-      args.slo.rejoin_p99_ceiling_ns = static_cast<std::int64_t>(ms * 1e6);
-    } else if (flag == "--loss") {
-      if (!numeric(0.0, 0.95, args.impairment.loss_rate)) return std::nullopt;
-    } else if (flag == "--loss-burst") {
-      if (!numeric(1.0, 1e6, args.impairment.loss_burst)) return std::nullopt;
-    } else if (flag == "--reorder") {
-      if (!numeric(0.0, 1.0, args.impairment.reorder_rate)) {
-        return std::nullopt;
-      }
-    } else if (flag == "--dup") {
-      if (!numeric(0.0, 1.0, args.impairment.duplicate_rate)) {
-        return std::nullopt;
-      }
-    } else if (flag == "--outage") {
-      if (!numeric(0.0, 1e3, args.impairment.outage_per_s)) {
-        return std::nullopt;
-      }
-    } else if (flag == "--outage-ms") {
-      double ms = 0;
-      if (!numeric(0.0, 60'000.0, ms)) return std::nullopt;
-      args.impairment.outage_duration =
-          util::SimTime::nanos(static_cast<std::int64_t>(ms * 1e6));
-    } else if (flag == "--churn") {
-      if (!numeric(0.0, 1e9, args.churn.probe_session_s)) return std::nullopt;
-    } else if (flag == "--bg-churn") {
-      if (!numeric(0.0, 1e9, args.churn.bg_session_s)) return std::nullopt;
-    } else if (flag == "--nat-fail") {
-      double p = 0;
-      if (!numeric(0.0, 1.0, p)) return std::nullopt;
-      args.churn.nat_connect_failure = p;
-      args.churn.firewall_connect_failure = p;
-    } else if (flag == "--discovery" || flag == "--fallback") {
-      const char* name = value();
-      if (!name) {
-        std::cerr << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      const auto kind = p2p::parse_backend_kind(name);
-      if (!kind) {
-        std::cerr << "invalid value for " << flag << ": " << name
-                  << " (expected tracker | dht | gossip)\n";
-        err = kExitBadValue;
-        return std::nullopt;
-      }
-      (flag == "--discovery" ? args.discovery.primary
-                             : args.discovery.fallback) = *kind;
-    } else if (flag == "--tracker-outage-at") {
-      double s = 0;
-      if (!numeric(0.0, 1e6, s)) return std::nullopt;
-      args.discovery.tracker_outage_start = seconds_to_simtime(s);
-    } else if (flag == "--tracker-outage-for") {
-      double s = 0;
-      if (!numeric(0.0, 1e6, s)) return std::nullopt;
-      args.discovery.tracker_outage_duration = seconds_to_simtime(s);
-    } else if (flag == "--rejoin-deadline") {
-      double s = 0;
-      if (!numeric(0.0, 1e6, s)) return std::nullopt;
-      args.discovery.rejoin_deadline = seconds_to_simtime(s);
-    } else if (flag == "--nat-matrix") {
-      double f = 0;
-      if (!numeric(0.0, 1.0, f)) return std::nullopt;
-      args.discovery.nat.enabled = true;
-      args.discovery.nat.symmetric_fraction = f;
-    } else if (flag == "--flash-crowd") {
-      const auto n = integer(1, 1'000'000);
-      if (!n) return std::nullopt;
-      args.discovery.flash_crowd_arrivals = static_cast<int>(*n);
-    } else if (flag == "--flash-crowd-at") {
-      double s = 0;
-      if (!numeric(0.0, 1e6, s)) return std::nullopt;
-      args.discovery.flash_crowd_at = seconds_to_simtime(s);
-    } else if (flag == "--zap-reuse") {
-      if (!numeric(0.0, 1.0, args.discovery.zap_reuse)) return std::nullopt;
-    } else if (flag == "--session-tail") {
-      if (!numeric(0.0, 50.0, args.discovery.session_tail_alpha)) {
-        return std::nullopt;
-      }
-    } else {
-      std::cerr << "unknown flag: " << flag << '\n';
-      return std::nullopt;
-    }
-  }
-  if (!have_app) {
-    std::cerr << "--app is required\n";
-    return std::nullopt;
-  }
-  if (args.discovery.fallback != p2p::DiscoveryBackendKind::kNone &&
-      args.discovery.primary == p2p::DiscoveryBackendKind::kNone) {
-    std::cerr << "--fallback requires --discovery\n";
-    return std::nullopt;
-  }
-  if (args.discovery.flash_crowd_arrivals > 0 &&
-      args.discovery.flash_crowd_at <= util::SimTime::zero()) {
-    // Default zap instant: a third into the run — late enough for
-    // every probe to be bootstrapped, early enough to observe the
-    // re-join settle.
-    args.discovery.flash_crowd_at =
-        util::SimTime::seconds(args.duration_s / 3);
-  }
-  return args;
-}
+const Flag kFlags[] = {
+    // The experiment: run, report, reproduce.
+    {"--app", kExperiment, "NAME", set_app, kExperiment},
+    {"--out", kRun | kReproduce, "PATH", path(&Args::out), kRun},
+    {"--seed", kSupervised, "N",
+     integer(0, kMaxSeed, [](Args& a, std::uint64_t n) { a.seed = n; })},
+    {"--duration", kSupervised, "S",
+     integer(1, kMaxDurationS,
+             [](Args& a, std::uint64_t s) {
+               a.duration_s = static_cast<std::int64_t>(s);
+             })},
+    {"--pcap", kRun, nullptr, on(&Args::pcap)},
+    {"--csv", kRun | kTimeline, nullptr, on(&Args::csv)},
+    // Supervision (DESIGN.md §10) and the SLO watchdog (§17).
+    {"--retries", kSupervised, "N",
+     integer(0, 100,
+             [](Args& a, std::uint64_t n) {
+               a.retries = static_cast<int>(n);
+             })},
+    {"--deadline", kSupervised, "S",
+     real(0.0, 86'400.0, [](Args& a, double s) { a.deadline_s = s; })},
+    {"--resume", kRun | kReproduce, nullptr, on(&Args::resume)},
+    {"--watch-status", kExperiment, "PATH", path(&Args::status_path)},
+    {"--slo-events-floor", kExperiment, "X",
+     real(0.0, 1e18,
+          [](Args& a, double x) { a.slo.events_per_s_floor = x; })},
+    {"--slo-stall", kExperiment, "S",
+     real(0.0, 86'400.0,
+          [](Args& a, double s) { a.slo.stall_window_s = s; })},
+    {"--slo-rejoin-p99-ms", kExperiment, "MS",
+     real(0.0, 1e9,
+          [](Args& a, double ms) {
+            a.slo.rejoin_p99_ceiling_ns = static_cast<std::int64_t>(ms * 1e6);
+          })},
+    // Network impairment and churn (§8).
+    {"--loss", kExperiment, "P",
+     real(0.0, 0.95, [](Args& a, double p) { a.impairment.loss_rate = p; })},
+    {"--loss-burst", kExperiment, "N",
+     real(1.0, 1e6, [](Args& a, double n) { a.impairment.loss_burst = n; })},
+    {"--reorder", kExperiment, "P",
+     real(0.0, 1.0,
+          [](Args& a, double p) { a.impairment.reorder_rate = p; })},
+    {"--dup", kExperiment, "P",
+     real(0.0, 1.0,
+          [](Args& a, double p) { a.impairment.duplicate_rate = p; })},
+    {"--outage", kExperiment, "R",
+     real(0.0, 1e3, [](Args& a, double r) { a.impairment.outage_per_s = r; })},
+    {"--outage-ms", kExperiment, "MS",
+     real(0.0, 60'000.0,
+          [](Args& a, double ms) {
+            a.impairment.outage_duration =
+                util::SimTime::nanos(static_cast<std::int64_t>(ms * 1e6));
+          })},
+    {"--churn", kExperiment, "S",
+     real(0.0, 1e9, [](Args& a, double s) { a.churn.probe_session_s = s; })},
+    {"--bg-churn", kExperiment, "S",
+     real(0.0, 1e9, [](Args& a, double s) { a.churn.bg_session_s = s; })},
+    {"--nat-fail", kExperiment, "P",
+     real(0.0, 1.0,
+          [](Args& a, double p) {
+            a.churn.nat_connect_failure = p;
+            a.churn.firewall_connect_failure = p;
+          })},
+    // Discovery (§13).
+    {"--discovery", kExperiment, "tracker|dht|gossip",
+     backend(&p2p::DiscoverySpec::primary)},
+    {"--fallback", kExperiment, "tracker|dht|gossip",
+     backend(&p2p::DiscoverySpec::fallback)},
+    {"--tracker-outage-at", kExperiment, "S",
+     seconds(&p2p::DiscoverySpec::tracker_outage_start)},
+    {"--tracker-outage-for", kExperiment, "S",
+     seconds(&p2p::DiscoverySpec::tracker_outage_duration)},
+    {"--rejoin-deadline", kExperiment, "S",
+     seconds(&p2p::DiscoverySpec::rejoin_deadline)},
+    {"--nat-matrix", kExperiment, "F",
+     real(0.0, 1.0,
+          [](Args& a, double f) {
+            a.discovery.nat.enabled = true;
+            a.discovery.nat.symmetric_fraction = f;
+          })},
+    {"--flash-crowd", kExperiment, "N",
+     integer(1, 1'000'000,
+             [](Args& a, std::uint64_t n) {
+               a.discovery.flash_crowd_arrivals = static_cast<int>(n);
+             })},
+    {"--flash-crowd-at", kExperiment, "S",
+     seconds(&p2p::DiscoverySpec::flash_crowd_at)},
+    {"--zap-reuse", kExperiment, "P",
+     real(0.0, 1.0, [](Args& a, double p) { a.discovery.zap_reuse = p; })},
+    {"--session-tail", kExperiment, "A",
+     real(0.0, 50.0,
+          [](Args& a, double alpha) {
+            a.discovery.session_tail_alpha = alpha;
+          })},
+    // Reading stored artifacts.
+    {"--salvage", kAnalyze | kTimeline, nullptr, on(&Args::salvage)},
+    {"--top", kTraceSummary, "N",
+     integer(1, 10'000,
+             [](Args& a, std::uint64_t n) {
+               a.top_n = static_cast<std::size_t>(n);
+             })},
+    {"--deterministic", kTraceSummary | kTimeline, nullptr,
+     on(&Args::deterministic)},
+    {"--once", kWatch, nullptr, on(&Args::once)},
+    {"--interval-ms", kWatch, "N",
+     integer(10, 60'000,
+             [](Args& a, std::uint64_t ms) {
+               a.interval =
+                   std::chrono::milliseconds{static_cast<std::int64_t>(ms)};
+             })},
+    // Global: sidecars (§9, §12, §17) and storage faults (§15).
+    {"--metrics", kGlobal, "PATH", path(&Args::metrics_path)},
+    {"--trace", kGlobal, "PATH", path(&Args::trace_path)},
+    {"--series", kGlobal, "PATH", path(&Args::series_path)},
+    {"--series-interval", kGlobal, "S",
+     real(0.001, 1e6, [](Args& a, double s) { a.series_interval_s = s; })},
+    {"--io-faults", kGlobal, "SPEC",
+     [](Args& a, std::string_view, const char* spec) {
+       a.io_faults = spec;
+       return 0;
+     }},
+    {"--io-faults-seed", kGlobal, "N",
+     integer(0, kMaxSeed,
+             [](Args& a, std::uint64_t n) { a.io_faults_seed = n; })},
+};
 
 void print_analysis(const aware::ExperimentObservations& data) {
   const auto summary = aware::summarize(data);
@@ -585,7 +418,7 @@ void print_analysis(const aware::ExperimentObservations& data) {
             << "]\n";
 }
 
-int cmd_testbed() {
+int cmd_testbed(const Args&) {
   const net::AsTopology topo = net::make_reference_topology();
   const exp::Testbed testbed = exp::Testbed::table1();
   util::TextTable table{{"Host", "Site", "CC", "AS", "Access", "Nat", "FW"}};
@@ -633,123 +466,50 @@ void print_discovery_counters(const p2p::DiscoveryCounters& d) {
 /// (exp::DiscoveryDegraded's message prefix) is "degraded" (8),
 /// anything else is a runtime error (1).
 int failure_exit_code(const std::string& error) {
-  if (error.rfind("slo violation", 0) == 0) return kExitSloViolation;
-  return error.rfind("discovery degraded", 0) == 0 ? kExitDegraded : 1;
+  if (error.starts_with("slo violation")) return kExitSloViolation;
+  return error.starts_with("discovery degraded") ? kExitDegraded : 1;
 }
 
-int cmd_run(const RunArgs& args) {
-  if (args.out.empty()) {
-    std::cerr << "--out is required for run\n";
-    return usage(kExitUsage);
-  }
-  std::filesystem::create_directories(args.out);
-
-  const net::AsTopology topo = net::make_reference_topology();
-  const exp::Testbed testbed = exp::Testbed::table1();
-
+/// run and report: one supervised run of the experiment the flags
+/// describe. With a capture target (run) the run also stores its
+/// capture there and journals in it, so --resume can skip a finished
+/// run after a crash; without one (report) it prints the analysis.
+int run_supervised(const Args& args, const exp::CaptureTarget* capture) {
+  const std::int64_t duration_s = args.duration_s.value_or(120);
   exp::RunSpec spec;
   spec.profile = args.profile;
   spec.seed = args.seed;
-  spec.duration = util::SimTime::seconds(args.duration_s);
-  spec.keep_records = true;
+  spec.duration = util::SimTime::seconds(duration_s);
+  spec.keep_records = capture != nullptr;
   spec.impairment = args.impairment;
   spec.churn = args.churn;
   spec.discovery = args.discovery;
+  if (spec.discovery.flash_crowd_arrivals > 0 &&
+      spec.discovery.flash_crowd_at <= util::SimTime::zero()) {
+    // Default zap instant: a third into the run — late enough for
+    // every probe to be bootstrapped, early enough to observe the
+    // re-join settle.
+    spec.discovery.flash_crowd_at = util::SimTime::seconds(duration_s / 3);
+  }
 
   exp::SupervisorConfig supervision;
   supervision.retries = args.retries;
   supervision.deadline_s = args.deadline_s;
-  supervision.resume = args.resume;
-  supervision.journal = args.out / "experiment.journal";
   supervision.slo = args.slo;
   supervision.status_path = args.status_path;
-  // Capture-producing run body: each attempt simulates, exports every
-  // trace atomically, then writes the metadata sidecar last — so a
-  // directory containing experiment.meta is always analyzable. The
-  // returned RunResult lands in the journal blob, which is what lets
-  // --resume skip a finished run outright.
-  supervision.run_fn = [&args, &testbed](const net::AsTopology& t,
-                                         const exp::RunSpec& s) {
-    p2p::SwarmConfig config;
-    config.profile = s.profile;
-    config.seed = s.seed;
-    config.duration = s.duration;
-    config.keep_records = true;
-    config.impairment = s.impairment;
-    config.churn = s.churn;
-    config.discovery = s.discovery;
-    config.cancel = s.cancel;
-    // Mirror run_experiment: series rows key on the stable journal
-    // identity, and the progress sink is live only while the swarm
-    // may still advance it (the watchdog must not judge a dead
-    // attempt's frozen counters).
-    config.series_key = exp::spec_id(s);
-    config.progress = s.progress;
-    struct ProgressGuard {
-      obs::RunProgress* progress;
-      explicit ProgressGuard(obs::RunProgress* p) : progress(p) {
-        if (progress != nullptr) {
-          progress->active.store(true, std::memory_order_release);
-        }
-      }
-      ~ProgressGuard() {
-        if (progress != nullptr) {
-          progress->active.store(false, std::memory_order_release);
-        }
-      }
-    } progress_guard{s.progress};
+  if (capture != nullptr) {
+    std::filesystem::create_directories(capture->dir);
+    supervision.resume = args.resume;
+    supervision.journal = capture->dir / "experiment.journal";
+    supervision.run_fn = [capture](const net::AsTopology& topo,
+                                   const exp::RunSpec& attempt) {
+      return exp::run_experiment(topo, attempt, capture);
+    };
+  }
 
-    p2p::Swarm swarm{t, testbed.probes(), config};
-    swarm.run();
-    if (s.discovery.rejoin_deadline > util::SimTime::zero()) {
-      const auto report = swarm.discovery_report();
-      if (report.rejoins_missed > 0) {
-        throw exp::DiscoveryDegraded(report.rejoins_missed);
-      }
-    }
-
-    const auto& population = swarm.population();
-    exp::ExperimentMetadata meta;
-    meta.app = config.profile.name;
-    meta.duration = config.duration;
-    meta.announcements = population.registry().dump();
-    meta.impairment = s.impairment;
-    meta.churn = s.churn;
-
-    std::uint64_t packets = 0;
-    for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
-      const auto& info = population.peer(population.probe_ids()[i]);
-      const auto label = population.probe_specs()[i].label();
-      meta.probes.push_back({info.ep.addr, info.ep.as, info.ep.country,
-                             info.access.is_high_bandwidth(), label});
-      auto records = swarm.sink(i).records();
-      std::sort(records.begin(), records.end(), trace::record_before);
-      trace::write_trace_binary(
-          args.out / exp::ExperimentMetadata::trace_filename(label),
-          swarm.sink(i).probe(), records);
-      if (args.pcap) {
-        trace::write_pcap(args.out / (label + ".pcap"),
-                          swarm.sink(i).probe(), records);
-      }
-      if (args.csv) {
-        trace::write_trace_csv(args.out / (label + ".csv"),
-                               swarm.sink(i).probe(), records);
-      }
-      packets += records.size();
-    }
-    write_metadata(args.out / "experiment.meta", meta);
-    std::cerr << "wrote " << swarm.probe_count() << " traces ("
-              << util::TextTable::count(packets)
-              << " packets) + metadata to " << args.out << '\n';
-
-    exp::RunResult result;
-    result.observations = exp::extract_observations(swarm);
-    result.counters = swarm.counters();
-    return result;
-  };
-
-  std::cerr << "running " << args.profile.name << " (seed " << args.seed
-            << ", " << args.duration_s << " s)...\n";
+  std::cerr << "running " << spec.profile.name << " (seed " << spec.seed
+            << ", " << duration_s << " s)...\n";
+  const net::AsTopology topo = net::make_reference_topology();
   util::ThreadPool pool{1};
   const auto outcome = exp::supervise_runs(
       topo, std::span<const exp::RunSpec>{&spec, 1}, pool, supervision);
@@ -759,7 +519,7 @@ int cmd_run(const RunArgs& args) {
               << " already complete, nothing to do\n";
     return 0;
   }
-  if (!run.ok()) {
+  if (!run.result) {
     std::cerr << "run " << exp::to_string(run.state) << " after "
               << run.attempts << " attempt(s): " << run.error << '\n';
     return failure_exit_code(run.error);
@@ -767,19 +527,43 @@ int cmd_run(const RunArgs& args) {
   if (run.attempts > 1) {
     std::cerr << "run succeeded on attempt " << run.attempts << '\n';
   }
-  if (args.impairment.enabled() || args.churn.enabled()) {
+  if (capture != nullptr) {
+    std::cerr << "wrote " << run.result->observations.probes.size()
+              << " traces + metadata to " << capture->dir << '\n';
+  } else {
+    print_analysis(run.result->observations);
+  }
+  if (spec.impairment.enabled() || spec.churn.enabled()) {
     print_fault_counters(run.result->counters);
   }
-  if (args.discovery.enabled()) {
+  if (spec.discovery.enabled()) {
     print_discovery_counters(run.result->counters.discovery);
   }
   return 0;
 }
 
-int cmd_analyze(const std::filesystem::path& dir, bool salvage) {
+int cmd_run(const Args& args) {
+  const exp::CaptureTarget capture{args.out, args.pcap, args.csv};
+  return run_supervised(args, &capture);
+}
+
+int cmd_report(const Args& args) { return run_supervised(args, nullptr); }
+
+int cmd_reproduce(const Args& args) {
+  tools::ReproduceOptions options;
+  if (!args.out.empty()) options.output = args.out;
+  if (args.duration_s) options.seconds = *args.duration_s;
+  options.seed = args.seed;
+  options.retries = args.retries;
+  options.deadline_s = args.deadline_s;
+  options.resume = args.resume;
+  return tools::reproduce(options);
+}
+
+int cmd_analyze(const Args& args) {
   exp::CaptureLoad load;
   try {
-    load = exp::load_capture(dir, salvage);
+    load = exp::load_capture(args.operand, args.salvage);
   } catch (const exp::CaptureError& error) {
     // Every "this is not an analyzable capture" condition lands here:
     // distinct exit code so scripts can tell a bad directory (6) from
@@ -788,48 +572,10 @@ int cmd_analyze(const std::filesystem::path& dir, bool salvage) {
     return kExitBadCapture;
   }
   for (const auto& note : load.notes) std::cerr << note << '\n';
-  if (salvage && !load.clean()) {
+  if (args.salvage && !load.clean()) {
     std::cerr << "salvage: analysis continues on the recovered records\n";
   }
   print_analysis(load.data);
-  return 0;
-}
-
-int cmd_report(const RunArgs& args) {
-  const net::AsTopology topo = net::make_reference_topology();
-  exp::RunSpec spec;
-  spec.profile = args.profile;
-  spec.seed = args.seed;
-  spec.duration = util::SimTime::seconds(args.duration_s);
-  spec.impairment = args.impairment;
-  spec.churn = args.churn;
-  spec.discovery = args.discovery;
-  std::cerr << "running " << spec.profile.name << " (seed " << args.seed
-            << ", " << args.duration_s << " s)...\n";
-
-  // Supervised but unjournaled: report stores nothing, so there is
-  // nothing to resume — but --retries/--deadline/SLOs still apply.
-  exp::SupervisorConfig supervision;
-  supervision.retries = args.retries;
-  supervision.deadline_s = args.deadline_s;
-  supervision.slo = args.slo;
-  supervision.status_path = args.status_path;
-  util::ThreadPool pool{1};
-  const auto outcome = exp::supervise_runs(
-      topo, std::span<const exp::RunSpec>{&spec, 1}, pool, supervision);
-  const auto& run = outcome.runs.front();
-  if (!run.ok()) {
-    std::cerr << "run " << exp::to_string(run.state) << " after "
-              << run.attempts << " attempt(s): " << run.error << '\n';
-    return failure_exit_code(run.error);
-  }
-  print_analysis(run.result->observations);
-  if (args.impairment.enabled() || args.churn.enabled()) {
-    print_fault_counters(run.result->counters);
-  }
-  if (args.discovery.enabled()) {
-    print_discovery_counters(run.result->counters.discovery);
-  }
   return 0;
 }
 
@@ -837,8 +583,8 @@ int cmd_report(const RunArgs& args) {
 // per-span-path self/total wall-time attribution, hottest first. Torn
 // lines are salvaged with a note; an unreadable file, a foreign
 // schema, or a trace with nothing salvageable is kExitBadTrace.
-int cmd_trace_summary(const std::filesystem::path& path, std::size_t top_n,
-                      bool deterministic) {
+int cmd_trace_summary(const Args& args) {
+  const std::filesystem::path& path = args.operand;
   obs::TraceFile file;
   try {
     file = obs::read_trace_file(path);
@@ -855,7 +601,7 @@ int cmd_trace_summary(const std::filesystem::path& path, std::size_t top_n,
               << '\n';
     return kExitBadTrace;
   }
-  if (deterministic) {
+  if (args.deterministic) {
     std::cout << obs::deterministic_rendering(file);
     return 0;
   }
@@ -864,10 +610,10 @@ int cmd_trace_summary(const std::filesystem::path& path, std::size_t top_n,
   std::cout << "trace: " << file.events.size() << " events, " << rows.size()
             << " span paths, " << counters.size()
             << " counters, dropped " << file.dropped << "\n\n";
-  std::cout << obs::render_trace_summary(rows, top_n);
+  std::cout << obs::render_trace_summary(rows, args.top_n);
   if (!counters.empty()) {
     std::cout << "\ncounters:\n"
-              << obs::render_counter_summary(counters, top_n);
+              << obs::render_counter_summary(counters, args.top_n);
   }
   return 0;
 }
@@ -893,40 +639,39 @@ std::string render_status(const exp::StatusView& view) {
 // never observes a torn document; a transiently missing file (watch
 // started before the run) is retried, not fatal. Exits when the batch
 // phase turns "done", or immediately with --once.
-int cmd_watch(const std::filesystem::path& path, bool once,
-              std::chrono::milliseconds interval) {
+int cmd_watch(const Args& args) {
   bool seen = false;
   for (;;) {
-    const auto text = util::io::read_file(path);
+    const auto text = util::io::read_file(args.operand);
     std::optional<exp::StatusView> view;
     if (text.has_value()) view = exp::parse_status(*text);
     if (view.has_value()) {
       seen = true;
       std::cout << render_status(*view) << std::flush;
       if (view->phase == "done") return 0;
-    } else if (once || seen) {
+    } else if (args.once || seen) {
       // Gone or unparseable after we saw it once: the writer is not
       // coming back (or the file was never a status document).
-      std::cerr << "watch: cannot read status from " << path.string()
-                << '\n';
+      std::cerr << "watch: cannot read status from "
+                << args.operand.string() << '\n';
       return 1;
     }
-    if (once) return 0;
-    std::this_thread::sleep_for(interval);
+    if (args.once) return 0;
+    std::this_thread::sleep_for(args.interval);
   }
 }
 
 // Renders a PSTS time-series sidecar (--series). Default markdown;
 // --csv for the long form, --deterministic for the canonical
-// rendering CI diffs across pool sizes. Strict by default — a corrupt
+// rendering compared across pool sizes. Strict by default — a corrupt
 // file is kExitBadTrace, mirroring trace-summary — while --salvage
 // recovers every interval outside damaged regions with drop
 // accounting on stderr.
-int cmd_timeline(const std::filesystem::path& path, bool csv,
-                 bool deterministic, bool salvage) {
+int cmd_timeline(const Args& args) {
+  const std::filesystem::path& path = args.operand;
   obs::SeriesSnapshot snapshot;
   try {
-    if (salvage) {
+    if (args.salvage) {
       util::SalvageReport report;
       snapshot = obs::read_series_salvage(path, &report);
       if (report.records_skipped > 0) {
@@ -946,9 +691,9 @@ int cmd_timeline(const std::filesystem::path& path, bool csv,
     std::cerr << "timeline: no intervals in " << path.string() << '\n';
     return kExitBadTrace;
   }
-  if (deterministic) {
+  if (args.deterministic) {
     std::cout << obs::deterministic_series(snapshot);
-  } else if (csv) {
+  } else if (args.csv) {
     std::cout << obs::render_series_csv(snapshot);
   } else {
     std::cout << obs::render_series_markdown(snapshot);
@@ -956,296 +701,219 @@ int cmd_timeline(const std::filesystem::path& path, bool csv,
   return 0;
 }
 
-int dispatch(int argc, char** argv) {
-  if (argc < 2) return usage(kExitUsage);
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h") return usage(0);
-  try {
-    if (command == "testbed") return cmd_testbed();
-    if (command == "run" || command == "report") {
-      int err = kExitUsage;
-      const auto args = parse_run_args(argc, argv, 2, err);
-      if (!args) return usage(err);
-      return command == "run" ? cmd_run(*args) : cmd_report(*args);
+struct Command {
+  std::string_view name;
+  unsigned bit;
+  const char* operand;  // placeholder in the usage text; nullptr: none
+  int (*body)(const Args&);
+};
+
+const Command kCommands[] = {
+    {"testbed", kTestbed, nullptr, cmd_testbed},
+    {"run", kRun, nullptr, cmd_run},
+    {"analyze", kAnalyze, "DIR", cmd_analyze},
+    {"report", kReport, nullptr, cmd_report},
+    {"reproduce", kReproduce, nullptr, cmd_reproduce},
+    {"trace-summary", kTraceSummary, "PATH", cmd_trace_summary},
+    {"watch", kWatch, "STATUS.json", cmd_watch},
+    {"timeline", kTimeline, "SERIES.psts", cmd_timeline},
+};
+
+/// Prints `items` after `head`, wrapped at 78 columns.
+void print_wrapped(std::ostream& out, std::string head,
+                   const std::vector<std::string>& items) {
+  constexpr std::size_t kWidth = 78;
+  std::string line = std::move(head);
+  for (const auto& item : items) {
+    if (line.size() + 1 + item.size() > kWidth) {
+      out << line << '\n';
+      line = "     ";
     }
-    if (command == "analyze") {
-      std::filesystem::path dir;
-      bool salvage = false;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--salvage") {
-          salvage = true;
-        } else if (!arg.empty() && arg[0] != '-' && dir.empty()) {
-          dir = arg;
-        } else {
-          std::cerr << "unknown flag: " << arg << '\n';
-          return usage(kExitUsage);
-        }
-      }
-      if (dir.empty()) {
-        std::cerr << "analyze needs a directory\n";
-        return usage(kExitUsage);
-      }
-      return cmd_analyze(dir, salvage);
-    }
-    if (command == "reproduce") {
-      tools::ReproduceOptions options;
-      for (int i = 2; i < argc; ++i) {
-        const std::string flag = argv[i];
-        const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (flag == "--out" && value) {
-          options.output = value;
-          ++i;
-        } else if (flag == "--seed" && value) {
-          const auto parsed = parse_integer(flag, value, 0, kMaxSeed);
-          if (!parsed) return usage(kExitBadValue);
-          options.seed = *parsed;
-          ++i;
-        } else if (flag == "--duration" && value) {
-          const auto parsed = parse_integer(flag, value, 1, kMaxDurationS);
-          if (!parsed) return usage(kExitBadValue);
-          options.seconds = static_cast<std::int64_t>(*parsed);
-          ++i;
-        } else if (flag == "--retries" && value) {
-          const auto parsed = parse_integer(flag, value, 0, 100);
-          if (!parsed) return usage(kExitBadValue);
-          options.retries = static_cast<int>(*parsed);
-          ++i;
-        } else if (flag == "--deadline" && value) {
-          const auto parsed = parse_double(value, 0.0, 86'400.0);
-          if (!parsed) {
-            std::cerr << "invalid value for --deadline: " << value << '\n';
-            return usage(kExitBadValue);
-          }
-          options.deadline_s = *parsed;
-          ++i;
-        } else if (flag == "--resume") {
-          options.resume = true;
-        } else {
-          std::cerr << "unknown flag: " << flag << '\n';
-          return usage(kExitUsage);
-        }
-      }
-      return tools::reproduce(options);
-    }
-    if (command == "trace-summary") {
-      std::filesystem::path path;
-      std::size_t top_n = 20;
-      bool deterministic = false;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--top" && value) {
-          const auto parsed = parse_integer(arg, value, 1, 10'000);
-          if (!parsed) return usage(kExitBadValue);
-          top_n = static_cast<std::size_t>(*parsed);
-          ++i;
-        } else if (arg == "--deterministic") {
-          deterministic = true;
-        } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
-          path = arg;
-        } else {
-          std::cerr << "unknown flag: " << arg << '\n';
-          return usage(kExitUsage);
-        }
-      }
-      if (path.empty()) {
-        std::cerr << "trace-summary needs a trace.json path\n";
-        return usage(kExitUsage);
-      }
-      return cmd_trace_summary(path, top_n, deterministic);
-    }
-    if (command == "watch") {
-      std::filesystem::path path;
-      bool once = false;
-      auto interval = std::chrono::milliseconds{500};
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (arg == "--once") {
-          once = true;
-        } else if (arg == "--interval-ms" && value) {
-          const auto parsed = parse_integer(arg, value, 10, 60'000);
-          if (!parsed) return usage(kExitBadValue);
-          interval = std::chrono::milliseconds{static_cast<int>(*parsed)};
-          ++i;
-        } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
-          path = arg;
-        } else {
-          std::cerr << "unknown flag: " << arg << '\n';
-          return usage(kExitUsage);
-        }
-      }
-      if (path.empty()) {
-        std::cerr << "watch needs a status.json path\n";
-        return usage(kExitUsage);
-      }
-      return cmd_watch(path, once, interval);
-    }
-    if (command == "timeline") {
-      std::filesystem::path path;
-      bool csv = false;
-      bool deterministic = false;
-      bool salvage = false;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--csv") {
-          csv = true;
-        } else if (arg == "--deterministic") {
-          deterministic = true;
-        } else if (arg == "--salvage") {
-          salvage = true;
-        } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
-          path = arg;
-        } else {
-          std::cerr << "unknown flag: " << arg << '\n';
-          return usage(kExitUsage);
-        }
-      }
-      if (path.empty()) {
-        std::cerr << "timeline needs a series sidecar path\n";
-        return usage(kExitUsage);
-      }
-      return cmd_timeline(path, csv, deterministic, salvage);
-    }
-    std::cerr << "unknown command: " << command << '\n';
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
+    line += ' ' + item;
   }
-  return usage(kExitUsage);
+  out << line << '\n';
+}
+
+/// The synopsis of each flag taken by every command in `bits`:
+/// "--app NAME" where it is required, "[--seed N]" elsewhere. A
+/// command's list leaves the global flags to their own line.
+std::vector<std::string> synopsis(unsigned bits) {
+  std::vector<std::string> items;
+  for (const Flag& flag : kFlags) {
+    if ((flag.commands & bits) != bits) continue;
+    if (flag.commands == kGlobal && bits != kGlobal) continue;
+    std::string item{flag.name};
+    if (flag.value != nullptr) item += std::string{" "} + flag.value;
+    items.push_back((flag.required & bits) != 0 ? item : "[" + item + "]");
+  }
+  return items;
+}
+
+int usage(int code) {
+  // --help asked for the text: stdout and exit 0. Every other caller
+  // is reporting a mistake.
+  std::ostream& out = code == 0 ? std::cout : std::cerr;
+  out << "usage:\n  peerscope --help | -h\n";
+  for (const Command& command : kCommands) {
+    std::string head = "  peerscope " + std::string{command.name};
+    if (command.operand != nullptr) head += std::string{" "} + command.operand;
+    print_wrapped(out, head, synopsis(command.bit));
+  }
+  out << '\n';
+  print_wrapped(out, "global flags (any command, anywhere on the line):",
+                synopsis(kGlobal));
+  out << R"(
+exit codes: 0 ok, 1 runtime error, 2 usage, 3 unknown app, 4 bad value,
+            5 partial success, 6 bad capture directory, 7 bad trace file,
+            8 degraded (discovery re-join missed --rejoin-deadline),
+            10 SLO violation (watchdog cancelled a supervised run)
+
+apps: pplive | sopcast | tvants | pplive-popular | napawine-proto
+)";
+  return code;
+}
+
+/// Reads a command line against kCommands and kFlags. Returns the
+/// command to run, or the exit code to stop with (the usage text
+/// already printed).
+std::variant<const Command*, int> parse_args(int argc, char** argv,
+                                              Args& args) {
+  const Command* command = nullptr;
+  std::vector<const Flag*> given;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view token = argv[i];
+    if (command == nullptr && (token == "--help" || token == "-h")) {
+      return usage(0);
+    }
+    if (!token.empty() && !token.starts_with('-')) {
+      if (command == nullptr) {
+        const auto it = std::find_if(
+            std::begin(kCommands), std::end(kCommands),
+            [token](const Command& c) { return c.name == token; });
+        if (it == std::end(kCommands)) {
+          std::cerr << "unknown command: " << token << '\n';
+          return usage(kExitUsage);
+        }
+        command = &*it;
+      } else if (command->operand != nullptr && args.operand.empty()) {
+        args.operand = token;
+      } else {
+        std::cerr << "unexpected argument: " << token << '\n';
+        return usage(kExitUsage);
+      }
+      continue;
+    }
+    // Before the command only a global flag can parse.
+    const unsigned taker = command != nullptr ? command->bit : kGlobal;
+    const auto flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [token, taker](const Flag& f) {
+          return f.name == token && (f.commands & taker) == taker;
+        });
+    if (flag == std::end(kFlags)) {
+      std::cerr << "unknown flag: " << token << '\n';
+      return usage(kExitUsage);
+    }
+    const char* value = "";
+    if (flag->value != nullptr) {
+      if (i + 1 == argc) {
+        std::cerr << token << " needs a value\n";
+        return usage(kExitUsage);
+      }
+      value = argv[++i];
+    }
+    if (const int code = flag->set(args, flag->name, value); code != 0) {
+      return usage(code);
+    }
+    given.push_back(&*flag);
+  }
+
+  if (command == nullptr) return usage(kExitUsage);
+  for (const Flag& flag : kFlags) {
+    if ((flag.required & command->bit) != 0 &&
+        std::find(given.begin(), given.end(), &flag) == given.end()) {
+      std::cerr << flag.name << " is required\n";
+      return usage(kExitUsage);
+    }
+  }
+  if (command->operand != nullptr && args.operand.empty()) {
+    std::cerr << command->name << " needs " << command->operand << '\n';
+    return usage(kExitUsage);
+  }
+  if (args.series_interval_s && args.series_path.empty()) {
+    std::cerr << "--series-interval requires --series\n";
+    return usage(kExitUsage);
+  }
+  if (args.discovery.fallback != p2p::DiscoveryBackendKind::kNone &&
+      args.discovery.primary == p2p::DiscoveryBackendKind::kNone) {
+    std::cerr << "--fallback requires --discovery\n";
+    return usage(kExitUsage);
+  }
+  return command;
+}
+
+/// Writes one sidecar once the command is done, even after a runtime
+/// error: the failed invocation is exactly the one worth inspecting. A
+/// sidecar that cannot be written turns a successful exit into 1.
+template <typename Write>
+void write_sidecar(const char* name, const std::filesystem::path& path,
+                   int& code, Write write) {
+  if (path.empty()) return;
+  try {
+    write();
+    std::cerr << name << ": wrote " << path.string() << '\n';
+  } catch (const std::exception& error) {
+    std::cerr << name << ": " << error.what() << '\n';
+    if (code == 0) code = 1;
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Global --metrics flag, extracted before dispatch so subcommand
-  // parsers never see it. When present, a registry covers the whole
-  // invocation and the full sidecar is written at exit — even after a
-  // runtime error, so a failing run still leaves its partial counters.
-  std::filesystem::path metrics_path;
-  std::filesystem::path trace_path;
-  std::filesystem::path series_path;
-  std::optional<double> series_interval_s;
-  // Storage fault injection: flag wins over env so a chaos sweep can
-  // set a baseline schedule and individual cells can override it.
-  const char* faults_env = std::getenv("PEERSCOPE_IO_FAULTS");
-  const char* faults_seed_env = std::getenv("PEERSCOPE_IO_FAULTS_SEED");
-  std::string fault_spec = faults_env ? faults_env : "";
-  std::string fault_seed_text = faults_seed_env ? faults_seed_env : "";
-  std::vector<char*> filtered;
-  filtered.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--metrics needs a value\n";
-        return usage(kExitUsage);
-      }
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--trace needs a value\n";
-        return usage(kExitUsage);
-      }
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--series") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--series needs a value\n";
-        return usage(kExitUsage);
-      }
-      series_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--series-interval") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--series-interval needs a value\n";
-        return usage(kExitUsage);
-      }
-      const auto parsed = parse_double(argv[++i], 0.001, 1e6);
-      if (!parsed) {
-        std::cerr << "invalid value for --series-interval: " << argv[i]
-                  << '\n';
-        return kExitBadValue;
-      }
-      series_interval_s = parsed;
-    } else if (std::strcmp(argv[i], "--io-faults") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--io-faults needs a value\n";
-        return usage(kExitUsage);
-      }
-      fault_spec = argv[++i];
-    } else if (std::strcmp(argv[i], "--io-faults-seed") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--io-faults-seed needs a value\n";
-        return usage(kExitUsage);
-      }
-      fault_seed_text = argv[++i];
-    } else {
-      filtered.push_back(argv[i]);
-    }
-  }
-  if (series_interval_s && series_path.empty()) {
-    std::cerr << "--series-interval requires --series\n";
-    return usage(kExitUsage);
-  }
+  Args args;
+  const auto parsed = parse_args(argc, argv, args);
+  if (const int* code = std::get_if<int>(&parsed)) return *code;
+  const Command& command = *std::get<const Command*>(parsed);
 
-  if (!fault_spec.empty()) {
-    std::uint64_t fault_seed = 0;
-    if (!fault_seed_text.empty()) {
-      const auto parsed = parse_integer("--io-faults-seed",
-                                        fault_seed_text.c_str(), 0, kMaxSeed);
-      if (!parsed) return kExitBadValue;
-      fault_seed = *parsed;
-    }
+  if (!args.io_faults.empty()) {
     try {
       util::io::install_faults(
-          util::io::FaultPlan::parse(fault_spec, fault_seed));
+          util::io::FaultPlan::parse(args.io_faults, args.io_faults_seed));
     } catch (const std::invalid_argument& error) {
       std::cerr << error.what() << '\n';
       return kExitBadValue;
     }
-    std::cerr << "io-faults: schedule armed (" << fault_spec << ")\n";
+    std::cerr << "io-faults: schedule armed (" << args.io_faults << ")\n";
   }
 
+  // Each sidecar's recorder covers the whole invocation; without its
+  // flag none is installed and the hooks are no-ops.
   obs::MetricsRegistry registry;
-  if (!metrics_path.empty()) obs::install(&registry);
+  if (!args.metrics_path.empty()) obs::install(&registry);
   obs::TraceRecorder recorder;
-  if (!trace_path.empty()) obs::install_tracer(&recorder);
+  if (!args.trace_path.empty()) obs::install_tracer(&recorder);
   obs::TimeseriesRecorder series{
-      seconds_to_simtime(series_interval_s.value_or(10.0))};
-  if (!series_path.empty()) obs::install_series(&series);
-  int code = dispatch(static_cast<int>(filtered.size()), filtered.data());
-  if (!series_path.empty()) {
-    // Like the other sidecars: written even after a runtime error —
-    // the intervals up to the failure are the post-mortem timeline.
-    obs::install_series(nullptr);
-    try {
-      obs::write_series(series_path, series.snapshot());
-      std::cerr << "series: wrote " << series_path.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "series: " << error.what() << '\n';
-      if (code == 0) code = 1;
-    }
+      seconds_to_simtime(args.series_interval_s.value_or(10.0))};
+  if (!args.series_path.empty()) obs::install_series(&series);
+
+  int code = 1;
+  try {
+    code = command.body(args);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << '\n';
   }
-  if (!trace_path.empty()) {
-    // Like the metrics sidecar: written even after a runtime error —
-    // the failed invocation is exactly the one worth profiling.
-    obs::install_tracer(nullptr);
-    try {
-      obs::write_trace_json(trace_path, recorder.snapshot());
-      std::cerr << "trace: wrote " << trace_path.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "trace: " << error.what() << '\n';
-      if (code == 0) code = 1;
-    }
-  }
-  if (!metrics_path.empty()) {
-    obs::install(nullptr);
-    try {
-      obs::write_metrics_json(metrics_path, registry.snapshot());
-      std::cerr << "metrics: wrote " << metrics_path.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "metrics: " << error.what() << '\n';
-      return code == 0 ? 1 : code;
-    }
-  }
+
+  obs::install_series(nullptr);
+  write_sidecar("series", args.series_path, code, [&] {
+    obs::write_series(args.series_path, series.snapshot());
+  });
+  obs::install_tracer(nullptr);
+  write_sidecar("trace", args.trace_path, code, [&] {
+    obs::write_trace_json(args.trace_path, recorder.snapshot());
+  });
+  obs::install(nullptr);
+  write_sidecar("metrics", args.metrics_path, code, [&] {
+    obs::write_metrics_json(args.metrics_path, registry.snapshot());
+  });
   return code;
 }
