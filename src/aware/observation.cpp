@@ -19,7 +19,8 @@ std::vector<PairObservation> extract_observations(
 
   // Observation order is the flow table's hash order; every consumer
   // (report tallies, JSON export) keys by address or sorts first.
-  for (const auto& [remote, f] : flows.flows()) {  // lint: ordered
+  // peerscope-lint: allow(nondeterministic-iteration)
+  for (const auto& [remote, f] : flows.flows()) {
     PairObservation obs;
     obs.probe = probe;
     obs.remote = remote;

@@ -36,6 +36,13 @@ std::chrono::milliseconds backoff_delay(
 
 namespace {
 
+/// Flight recorder: when a TraceRecorder is installed (obs/trace.hpp)
+/// and the batch is journaled, a failed or timed-out spec dumps the
+/// newest this-many trace events of its final attempt into
+/// `<journal>.d/<spec>.trace.json` next to its journal entry — a
+/// post-mortem timeline for exactly the runs that need one.
+constexpr std::size_t kFlightRecorderEvents = 512;
+
 /// Sleeps in short slices so pool teardown (shutdown_token) cuts a
 /// pending backoff short instead of stalling the destructor.
 void interruptible_sleep(std::chrono::milliseconds total,
@@ -249,13 +256,11 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
       // size.
       const bool terminal_failure = status.state == RunState::kFailed ||
                                     status.state == RunState::kTimedOut;
-      if (journaled && terminal_failure &&
-          config.flight_recorder_events > 0) {
+      if (journaled && terminal_failure) {
         if (obs::TraceRecorder* recorder = obs::tracer()) {
           try {
             obs::TraceSnapshot tail;
-            tail.events =
-                recorder->recent_events(config.flight_recorder_events);
+            tail.events = recorder->recent_events(kFlightRecorderEvents);
             obs::write_trace_json(blob_dir / spec_flight_name(status.spec),
                                   tail);
           } catch (const std::exception& error) {

@@ -77,18 +77,12 @@ struct SupervisorConfig {
   /// 75–125% per-(spec, attempt) draw. Tests inject a constant (or a
   /// recording probe) to make retry timing exact instead of bounded.
   std::function<double(std::uint64_t, int)> backoff_jitter;
-  /// Flight recorder: when a TraceRecorder is installed (obs/trace.hpp)
-  /// and the batch is journaled, a failed or timed-out spec dumps the
-  /// last N trace events of its final attempt into
-  /// `<journal>.d/<spec>.trace.json` next to its journal entry —
-  /// a post-mortem timeline for exactly the runs that need one.
-  /// 0 disables the dump.
-  std::size_t flight_recorder_events = 512;
   /// Declarative SLOs (obs/watchdog.hpp): when any objective is set, a
   /// watchdog per attempt polls the run's live progress and cancels it
   /// on sustained violation; the run lands as kFailed with an "slo
   /// violation: ..." error the CLI maps to exit 10, plus the flight-
-  /// recorder dump above. Default (all-zero) runs no watchdog thread.
+  /// recorder dump (supervise_runs). Default (all-zero) runs no
+  /// watchdog thread.
   obs::SloSpec slo;
   /// Live status.json path (exp/status.hpp): non-empty starts a
   /// StatusReporter that atomically rewrites per-run phase / events/s

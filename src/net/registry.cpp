@@ -33,7 +33,8 @@ std::vector<NetRegistry::Announcement> NetRegistry::dump() const {
   std::vector<Announcement> out;
   out.reserve(map_.size());
   // Collected in hash order, then sorted by prefix base below.
-  for (const auto& [as, prefixes] : by_as_) {  // lint: ordered
+  // peerscope-lint: allow(nondeterministic-iteration)
+  for (const auto& [as, prefixes] : by_as_) {
     for (const auto& prefix : prefixes) {
       const auto entry = map_.exact(prefix);
       if (entry) out.push_back({prefix, entry->as, entry->country});

@@ -347,9 +347,7 @@ std::string deterministic_trace(const TraceSnapshot& snapshot) {
   out += "dropped ";
   append_number(out, snapshot.dropped);
   out += '\n';
-  // `spans` here is a std::map (sorted); the name merely collides
-  // with unordered declarations elsewhere in src/.
-  for (const auto& [name, c] : spans) {  // lint: ordered
+  for (const auto& [name, c] : spans) {
     out += "span " + name + " begin ";
     append_number(out, c.begins);
     out += " end ";

@@ -334,8 +334,8 @@ class DhtBackend final : public DiscoveryBackend {
       const std::unordered_set<PeerId>& queried) {
     // The range is closest()'s distance-sorted vector; `queried` only
     // sizes the request.
-    for (const PeerId peer :                        // lint: ordered
-         table.closest(target, queried.size() + 1)) {
+    // peerscope-lint: allow(nondeterministic-iteration)
+    for (const PeerId peer : table.closest(target, queried.size() + 1)) {
       if (!queried.contains(peer)) return peer;
     }
     return std::nullopt;
@@ -690,7 +690,8 @@ std::size_t DiscoveryService::rejoins_missed(SimTime deadline,
     if (latency > deadline) ++missed;
   }
   // Pure count over the member set: order-independent.
-  for (const auto& [id, st] : states_) {  // lint: ordered
+  // peerscope-lint: allow(nondeterministic-iteration)
+  for (const auto& [id, st] : states_) {
     if (!st.satisfied && end - st.started > deadline) ++missed;
   }
   return missed;

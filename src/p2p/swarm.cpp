@@ -58,9 +58,6 @@ Swarm::Swarm(const net::AsTopology& topo, std::span<const ProbeSpec> probes,
       rng_(util::Rng{config_.seed}.fork(0xa11ce)),
       churn_rng_(util::Rng{config_.seed}.fork(0xc4521)),
       discovery_rng_(util::Rng{config_.seed}.fork(0xd15c0)),
-      impairment_(config_.impairment.enabled()
-                      ? config_.impairment
-                      : sim::ImpairmentSpec::flat_loss(config_.loss_rate)),
       faults_active_(config_.churn.enabled() || config_.impairment.enabled()),
       discovery_active_(config_.discovery.enabled()),
       nat_active_(config_.discovery.nat.enabled),
@@ -147,7 +144,8 @@ bool Swarm::peer_online(PeerId id, util::SimTime now) const {
 }
 
 sim::GilbertElliott* Swarm::channel_for(PeerId sender, PeerId receiver) {
-  if (!(impairment_.has_loss() && impairment_.loss_burst > 1.0)) {
+  if (!(config_.impairment.has_loss() &&
+        config_.impairment.loss_burst > 1.0)) {
     return nullptr;  // memoryless loss needs no per-pair state
   }
   const std::uint64_t key =
@@ -758,7 +756,7 @@ void Swarm::request_chunk(ProbeState& ps, Partner& partner, ChunkIndex chunk) {
   spec.start = service_start;
   spec.packet_count = stream.packets_per_chunk();
   spec.packet_bytes = stream.packet_bytes;
-  spec.impairment = impairment_;
+  spec.impairment = config_.impairment;
   spec.link_key = ps.id;  // outage schedule keyed on the receiver link
   const sim::TrainResult train = sim::transmit_train(
       spec, other.access, up_[partner.id], self.access, down_[ps.id], rev,
@@ -946,7 +944,7 @@ void Swarm::requester_loop(ProbeState& ps, std::shared_ptr<Requester> req) {
   spec.start = now + SimTime::millis(1);
   spec.packet_count = stream.packets_per_chunk();
   spec.packet_bytes = stream.packet_bytes;
-  spec.impairment = impairment_;
+  spec.impairment = config_.impairment;
   spec.link_key = req->id;
   const sim::TrainResult train = sim::transmit_train(
       spec, self.access, up_[ps.id], other.access, down_[req->id], rev, rng_,

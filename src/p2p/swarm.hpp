@@ -45,15 +45,10 @@ struct SwarmConfig {
   /// Keep raw packet records in the sinks (needed for trace-file
   /// export and the offline analysis path; costs memory).
   bool keep_records = false;
-  /// Per-packet loss probability applied to every video train
-  /// (failure injection; 0 reproduces the paper's lossless-enough
-  /// campus captures). Legacy flat-loss knob: equivalent to
-  /// `impairment = sim::ImpairmentSpec::flat_loss(loss_rate)` but does
-  /// NOT arm the recovery machinery, preserving the seed behaviour.
-  double loss_rate = 0.0;
-  /// Full per-link impairment model (bursty loss, capture reordering
-  /// and duplication, transient outages). When enabled it supersedes
-  /// `loss_rate` and arms the swarm's failure-recovery machinery.
+  /// Per-link impairment model (bursty loss, capture reordering and
+  /// duplication, transient outages) applied to every video train.
+  /// When enabled it arms the swarm's failure-recovery machinery; the
+  /// default reproduces the paper's lossless-enough campus captures.
   sim::ImpairmentSpec impairment;
   /// Peer churn and connection-failure injection.
   ChurnSpec churn;
@@ -258,10 +253,7 @@ class Swarm {
   /// Separate stream for discovery control-plane draws (DHT lookup
   /// targets, gossip sampling, zap pruning) for the same reason.
   util::Rng discovery_rng_;
-  /// Effective per-train impairment: `config_.impairment` when enabled,
-  /// otherwise the legacy flat-loss mapping of `config_.loss_rate`.
-  sim::ImpairmentSpec impairment_;
-  /// True when churn or the full impairment model is on; every piece of
+  /// True when churn or the impairment model is on; every piece of
   /// recovery machinery is gated on this so the default configuration
   /// stays bit-identical to the clean simulator.
   bool faults_active_ = false;

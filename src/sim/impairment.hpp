@@ -8,7 +8,7 @@
 //   - bursty loss: a two-state Gilbert–Elliott channel (loss_rate is
 //     the stationary drop probability, loss_burst the mean number of
 //     consecutive drops). loss_burst == 1 degenerates to independent
-//     Bernoulli drops — exactly the old flat `loss_rate` knob.
+//     Bernoulli drops.
 //   - capture reordering: the sniffer stamps a packet late, landing it
 //     between later arrivals; once the trace is time-sorted this
 //     fabricates an abnormally small inter-packet gap.
@@ -52,14 +52,6 @@ struct ImpairmentSpec {
   [[nodiscard]] bool enabled() const {
     return loss_rate > 0.0 || reorder_rate > 0.0 || duplicate_rate > 0.0 ||
            outage_per_s > 0.0;
-  }
-
-  /// The legacy flat `loss_rate` knob expressed in the new model:
-  /// independent drops, nothing else.
-  [[nodiscard]] static ImpairmentSpec flat_loss(double rate) {
-    ImpairmentSpec spec;
-    spec.loss_rate = rate;
-    return spec;
   }
 };
 

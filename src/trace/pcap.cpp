@@ -15,6 +15,10 @@ constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;  // microsecond timestamps
 constexpr std::uint16_t kVersionMajor = 2;
 constexpr std::uint16_t kVersionMinor = 4;
 constexpr std::uint32_t kLinkTypeRaw = 101;  // raw IPv4/IPv6
+/// UDP port the synthetic P2P-TV application speaks on.
+constexpr std::uint16_t kAppPort = 4004;
+/// Bytes of each packet actually stored: the IPv4 and UDP headers.
+constexpr std::uint32_t kSnaplen = 28;
 
 void put_u16(std::string& out, std::uint16_t v) {
   out.push_back(static_cast<char>(v & 0xff));
@@ -68,10 +72,9 @@ std::uint16_t ipv4_header_checksum(const std::uint8_t* header,
 }
 
 void write_pcap(const std::filesystem::path& path, net::Ipv4Addr probe,
-                const std::vector<PacketRecord>& records,
-                const PcapOptions& options) {
+                const std::vector<PacketRecord>& records) {
   std::string out;
-  out.reserve(24 + records.size() * (16 + options.snaplen));
+  out.reserve(24 + records.size() * (16 + kSnaplen));
 
   // Global header.
   put_u32(out, kPcapMagic);
@@ -79,7 +82,7 @@ void write_pcap(const std::filesystem::path& path, net::Ipv4Addr probe,
   put_u16(out, kVersionMinor);
   put_u32(out, 0);  // thiszone
   put_u32(out, 0);  // sigfigs
-  put_u32(out, options.snaplen);
+  put_u32(out, kSnaplen);
   put_u32(out, kLinkTypeRaw);
 
   for (const auto& r : records) {
@@ -90,7 +93,7 @@ void write_pcap(const std::filesystem::path& path, net::Ipv4Addr probe,
     const auto total_len =
         static_cast<std::uint16_t>(std::max(r.bytes, 28));
     const std::uint32_t incl_len =
-        std::min<std::uint32_t>(options.snaplen, total_len);
+        std::min<std::uint32_t>(kSnaplen, total_len);
 
     // Record header: seconds, microseconds, captured, original.
     const std::int64_t ns = r.ts.ns();
@@ -118,8 +121,8 @@ void write_pcap(const std::filesystem::path& path, net::Ipv4Addr probe,
     pkt[11] = static_cast<char>(checksum & 0xff);
 
     // UDP header (8 bytes); checksum 0 = not computed (legal for IPv4).
-    put_be16(pkt, options.app_port);
-    put_be16(pkt, options.app_port);
+    put_be16(pkt, kAppPort);
+    put_be16(pkt, kAppPort);
     put_be16(pkt, static_cast<std::uint16_t>(total_len - 20));
     put_be16(pkt, 0);
 
@@ -204,114 +207,6 @@ std::vector<PacketRecord> read_pcap(const std::filesystem::path& path,
                              : sim::PacketKind::kSignaling;
     records.push_back(r);
   }
-  return records;
-}
-
-std::vector<PacketRecord> read_pcap_salvage(const std::filesystem::path& path,
-                                            net::Ipv4Addr probe,
-                                            util::SalvageReport* report) {
-  util::SalvageReport local;
-  util::SalvageReport& rep = report ? *report : local;
-  rep = util::SalvageReport{};
-
-  const auto slurped = util::io::read_file(path);
-  if (!slurped) {
-    throw std::runtime_error("read_pcap_salvage: cannot open " +
-                             path.string());
-  }
-  const std::string& buf = *slurped;
-
-  std::vector<PacketRecord> records;
-  if (buf.size() < 24) {
-    rep.bytes_discarded = buf.size();
-    rep.note = "truncated global header";
-    return records;
-  }
-  const char* p = buf.data();
-  const char* end = buf.data() + buf.size();
-  if (read_u32(p) != kPcapMagic) {
-    rep.bytes_discarded = buf.size();
-    rep.note = "bad magic";
-    return records;
-  }
-  (void)read_u16(p);  // version major
-  (void)read_u16(p);  // version minor
-  (void)read_u32(p);  // thiszone
-  (void)read_u32(p);  // sigfigs
-  (void)read_u32(p);  // snaplen
-  if (read_u32(p) != kLinkTypeRaw) {
-    rep.bytes_discarded = buf.size();
-    rep.note = "unexpected link type";
-    return records;
-  }
-  rep.header_valid = true;
-
-  while (p < end) {
-    if (static_cast<std::size_t>(end - p) < 16) {
-      rep.truncated = true;
-      rep.bytes_discarded += static_cast<std::size_t>(end - p);
-      if (rep.note.empty()) rep.note = "truncated record header";
-      break;
-    }
-    const std::uint32_t sec = read_u32(p);
-    const std::uint32_t usec = read_u32(p);
-    const std::uint32_t incl = read_u32(p);
-    const std::uint32_t orig = read_u32(p);
-    if (static_cast<std::size_t>(end - p) < incl) {
-      // The captured length points past EOF: the writer died
-      // mid-record. Nothing after this point is trustworthy.
-      rep.truncated = true;
-      rep.bytes_discarded += static_cast<std::size_t>(end - p) + 16;
-      if (rep.note.empty()) rep.note = "truncated packet";
-      break;
-    }
-    const char* ip = p;
-    p += incl;
-    if (incl < 28 || (static_cast<std::uint8_t>(ip[0]) >> 4) != 4) {
-      ++rep.records_skipped;  // headers unparseable or not IPv4
-      ++rep.records_rejected;
-      if (rep.note.empty()) rep.note = "unparseable packet";
-      continue;
-    }
-    if (orig < 28 || orig > 65535 || incl > orig) {
-      // Would alias to a negative/implausible byte count; the frame
-      // boundary held, so only this record is lost.
-      ++rep.records_skipped;
-      ++rep.records_rejected;
-      if (rep.note.empty()) rep.note = "implausible original length";
-      continue;
-    }
-    const auto ttl = static_cast<std::uint8_t>(ip[8]);
-    const char* addr_ptr = ip + 12;
-    const net::Ipv4Addr src{read_be32(addr_ptr)};
-    const net::Ipv4Addr dst{read_be32(addr_ptr)};
-
-    PacketRecord r;
-    r.ts = util::SimTime::nanos(static_cast<std::int64_t>(sec) *
-                                    1'000'000'000 +
-                                static_cast<std::int64_t>(usec) * 1'000);
-    r.bytes = static_cast<std::int32_t>(orig);
-    if (dst == probe) {
-      r.dir = Direction::kRx;
-      r.remote = src;
-      r.ttl = ttl;
-    } else if (src == probe) {
-      r.dir = Direction::kTx;
-      r.remote = dst;
-      r.ttl = ttl;
-    } else {
-      // A sniffer on a shared segment records bystander traffic; it is
-      // not part of this probe's view.
-      ++rep.records_skipped;
-      ++rep.records_rejected;
-      if (rep.note.empty()) rep.note = "packet does not involve probe";
-      continue;
-    }
-    r.kind = r.bytes >= 1000 ? sim::PacketKind::kVideo
-                             : sim::PacketKind::kSignaling;
-    records.push_back(r);
-  }
-  rep.records_recovered = records.size();
   return records;
 }
 

@@ -10,37 +10,21 @@
 
 #include "net/ipv4.hpp"
 #include "trace/record.hpp"
-#include "util/salvage.hpp"
 
 namespace peerscope::trace {
 
-struct PcapOptions {
-  /// UDP port the synthetic P2P-TV application speaks on.
-  std::uint16_t app_port = 4004;
-  /// Bytes of each packet actually stored (headers need 28).
-  std::uint32_t snaplen = 28;
-};
-
 /// Writes `records` (a probe's capture) as a pcap file. RX records
 /// become remote->probe datagrams carrying the observed TTL; TX records
-/// become probe->remote datagrams with the initial TTL.
+/// become probe->remote datagrams with the initial TTL. Each packet
+/// keeps its 28 header bytes, with UDP port 4004 at both ends.
 void write_pcap(const std::filesystem::path& path, net::Ipv4Addr probe,
-                const std::vector<PacketRecord>& records,
-                const PcapOptions& options = {});
+                const std::vector<PacketRecord>& records);
 
 /// Minimal reader for round-trip tests: parses a file produced by
 /// write_pcap (LINKTYPE_RAW, IPv4/UDP) back into records. Throws on
 /// malformed input.
 [[nodiscard]] std::vector<PacketRecord> read_pcap(
     const std::filesystem::path& path, net::Ipv4Addr probe);
-
-/// Salvage-mode pcap reader: recovers every parseable packet involving
-/// `probe` instead of throwing. Non-IPv4 and foreign packets are
-/// counted and skipped; a truncated tail stops parsing with the valid
-/// prefix kept. Only failure to open the file throws.
-[[nodiscard]] std::vector<PacketRecord> read_pcap_salvage(
-    const std::filesystem::path& path, net::Ipv4Addr probe,
-    util::SalvageReport* report = nullptr);
 
 /// RFC 1071 checksum over a header (for tests and the writer).
 [[nodiscard]] std::uint16_t ipv4_header_checksum(

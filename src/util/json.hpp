@@ -1,11 +1,11 @@
 // The one JSON dialect every PeerScope artifact speaks (DESIGN.md §9).
 //
-// metrics.json, trace.json, the experiment journal, status.json, the
-// bench records and the lint SARIF report are all written with the
-// escaper and number formatters below, and the journal, status, trace
-// and bench readers all read through the flat field reader. Each
-// format keeps its own layout and whitespace; only the string and
-// number spellings live here.
+// metrics.json, trace.json, the experiment journal, status.json and
+// the bench records are all written with the escaper and number
+// formatters below, and the journal, status, trace and bench readers
+// all read through the flat field reader. Each format keeps its own
+// layout and whitespace; only the string and number spellings live
+// here.
 //
 // The reader is not a general JSON parser. It finds `"key":` (with an
 // optional space after the colon) anywhere in the text and decodes the

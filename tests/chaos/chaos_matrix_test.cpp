@@ -20,12 +20,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
+#include "support/scratch_dir.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/pcap.hpp"
 #include "util/io_faults.hpp"
@@ -38,15 +38,7 @@ using util::io::FaultPlan;
 
 class ChaosMatrixTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_chaos_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    util::io::clear_faults();
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { util::io::clear_faults(); }
 
   std::string slurp(const std::filesystem::path& path) {
     std::ifstream in(path, std::ios::binary);
@@ -56,14 +48,15 @@ class ChaosMatrixTest : public ::testing::Test {
   }
 
   void expect_no_temp_litter(const std::string& cell) {
-    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir_.path())) {
       EXPECT_EQ(entry.path().filename().string().find(".tmp."),
                 std::string::npos)
           << cell << ": leaked temp file " << entry.path();
     }
   }
 
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_chaos"};
 };
 
 std::vector<trace::PacketRecord> chaos_records(std::size_t n) {

@@ -4,9 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
 #include "exp/metadata.hpp"
+#include "support/scratch_dir.hpp"
 #include "trace/binary_format.hpp"
 
 namespace peerscope::exp {
@@ -14,13 +14,6 @@ namespace {
 
 class CaptureTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_capture_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   ExperimentMetadata sample_meta() {
     ExperimentMetadata meta;
     meta.app = "TVAnts";
@@ -63,12 +56,12 @@ class CaptureTest : public ::testing::Test {
     write_metadata(dir_ / "experiment.meta", meta);
   }
 
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_capture_test"};
 };
 
 TEST_F(CaptureTest, LoadsCompleteCapture) {
   write_capture();
-  const CaptureLoad load = load_capture(dir_, /*salvage=*/false);
+  const CaptureLoad load = load_capture(dir_.path(), /*salvage=*/false);
   EXPECT_TRUE(load.clean());
   EXPECT_EQ(load.data.app, "TVAnts");
   ASSERT_EQ(load.data.per_probe.size(), 2u);
@@ -88,7 +81,7 @@ TEST_F(CaptureTest, PathThatIsAFileThrows) {
 
 TEST_F(CaptureTest, EmptyDirectoryThrowsWithDiagnostic) {
   try {
-    (void)load_capture(dir_, false);
+    (void)load_capture(dir_.path(), false);
     FAIL() << "expected CaptureError";
   } catch (const CaptureError& error) {
     EXPECT_NE(std::string{error.what()}.find("empty"), std::string::npos);
@@ -99,7 +92,7 @@ TEST_F(CaptureTest, NonCaptureDirectoryThrows) {
   // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
   std::ofstream(dir_ / "random.txt") << "hello";
   try {
-    (void)load_capture(dir_, false);
+    (void)load_capture(dir_.path(), false);
     FAIL() << "expected CaptureError";
   } catch (const CaptureError& error) {
     EXPECT_NE(std::string{error.what()}.find("experiment.meta"),
@@ -111,7 +104,7 @@ TEST_F(CaptureTest, CorruptMetadataThrows) {
   // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
   std::ofstream(dir_ / "experiment.meta") << "garbage header\n";
   try {
-    (void)load_capture(dir_, false);
+    (void)load_capture(dir_.path(), false);
     FAIL() << "expected CaptureError";
   } catch (const CaptureError& error) {
     EXPECT_NE(std::string{error.what()}.find("unreadable metadata"),
@@ -124,7 +117,7 @@ TEST_F(CaptureTest, MissingTraceThrowsAndSuggestsSalvage) {
   std::filesystem::remove(dir_ /
                           ExperimentMetadata::trace_filename("BME-1"));
   try {
-    (void)load_capture(dir_, false);
+    (void)load_capture(dir_.path(), false);
     FAIL() << "expected CaptureError";
   } catch (const CaptureError& error) {
     const std::string what = error.what();
@@ -137,7 +130,7 @@ TEST_F(CaptureTest, SalvageToleratesMissingTraceAndKeepsSlot) {
   write_capture();
   std::filesystem::remove(dir_ /
                           ExperimentMetadata::trace_filename("BME-1"));
-  const CaptureLoad load = load_capture(dir_, /*salvage=*/true);
+  const CaptureLoad load = load_capture(dir_.path(), /*salvage=*/true);
   EXPECT_FALSE(load.clean());
   EXPECT_EQ(load.probes_lost, 1u);
   ASSERT_EQ(load.data.per_probe.size(), 2u);  // alignment preserved
@@ -153,7 +146,7 @@ TEST_F(CaptureTest, SalvageToleratesCorruptTrace) {
   std::ofstream(dir_ / ExperimentMetadata::trace_filename("BME-1"),
                 std::ios::binary | std::ios::trunc)
       << "trash bytes, not a trace";
-  const CaptureLoad load = load_capture(dir_, /*salvage=*/true);
+  const CaptureLoad load = load_capture(dir_.path(), /*salvage=*/true);
   EXPECT_EQ(load.probes_lost, 1u);  // header invalid -> probe lost
   ASSERT_EQ(load.data.per_probe.size(), 2u);
   EXPECT_TRUE(load.data.per_probe[1].empty());
@@ -167,7 +160,7 @@ TEST_F(CaptureTest, CorruptTraceWithoutSalvageThrows) {
                 std::ios::binary | std::ios::trunc)
       << "trash bytes, not a trace";
   try {
-    (void)load_capture(dir_, false);
+    (void)load_capture(dir_.path(), false);
     FAIL() << "expected CaptureError";
   } catch (const CaptureError& error) {
     EXPECT_NE(std::string{error.what()}.find("--salvage"),

@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <unistd.h>
 
 #include "aware/report.hpp"
 #include "exp/capture.hpp"
 #include "exp/runner.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -166,13 +166,10 @@ TEST(OfflinePath, TraceFilesReproduceOnlineAnalysis) {
   spec.duration = SimTime::seconds(20);
   spec.keep_records = true;
 
-  const CaptureTarget capture{
-      std::filesystem::temp_directory_path() /
-      ("peerscope_integration_" + std::to_string(::getpid()))};
-  std::filesystem::create_directories(capture.dir);
+  const test::ScratchDir dir{"peerscope_integration"};
+  const CaptureTarget capture{dir.path()};
   const auto online = run_experiment(topo(), spec, &capture).observations;
   const auto offline = load_capture(capture.dir, /*salvage=*/false).data;
-  std::filesystem::remove_all(capture.dir);
 
   EXPECT_EQ(offline.app, online.app);
   EXPECT_EQ(offline.duration, online.duration);

@@ -4,20 +4,15 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
+
+#include "support/scratch_dir.hpp"
 
 namespace peerscope::exp {
 namespace {
 
 class MetadataTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_meta_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_meta_test"};
 };
 
 ExperimentMetadata sample() {

@@ -11,9 +11,9 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unistd.h>
 
 #include "exp/supervisor.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -23,16 +23,6 @@ using std::chrono::milliseconds;
 
 class StatusTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("peerscope_status_test_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
   [[nodiscard]] std::string read_file(const fs::path& path) const {
     std::ifstream in{path, std::ios::binary};
     std::ostringstream out;
@@ -40,7 +30,7 @@ class StatusTest : public ::testing::Test {
     return out.str();
   }
 
-  fs::path dir_;
+  const test::ScratchDir dir_{"peerscope_status_test"};
 };
 
 TEST_F(StatusTest, ReporterDocumentRoundTripsThroughParseStatus) {

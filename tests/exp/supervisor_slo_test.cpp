@@ -14,7 +14,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-#include <unistd.h>
 
 #include "exp/journal.hpp"
 #include "exp/status.hpp"
@@ -22,6 +21,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
+#include "support/scratch_dir.hpp"
 #include "util/cancel.hpp"
 
 namespace peerscope::exp {
@@ -75,16 +75,7 @@ RunResult starving_run(const RunSpec& spec) {
 
 class SupervisorSloTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_supervisor_slo_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_supervisor_slo_test"};
 };
 
 TEST_F(SupervisorSloTest, SustainedViolationIsTerminalDespiteRetries) {

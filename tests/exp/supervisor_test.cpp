@@ -14,15 +14,15 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <unistd.h>
 
 #include "exp/journal.hpp"
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
-#include "util/cancel.hpp"
-#include "util/framing.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
+#include "sim/engine.hpp"
+#include "support/scratch_dir.hpp"
+#include "util/cancel.hpp"
+#include "util/framing.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -66,13 +66,7 @@ RunResult fake_result(std::uint64_t marker) {
 
 class SupervisorTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_supervisor_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_supervisor_test"};
 };
 
 TEST_F(SupervisorTest, FailureIsCapturedNotThrown) {
@@ -605,9 +599,7 @@ TEST(Journal, RunResultBlobRoundTripsByteIdentically) {
   discovery.discovery.tracker_outage_start = SimTime::seconds(8);
   discovery.discovery.tracker_outage_duration = SimTime::seconds(10);
   discovery.discovery.nat.enabled = true;
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_blob_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+  const test::ScratchDir dir{"peerscope_blob_test"};
 
   for (const RunSpec& spec : {tiny_spec(5), discovery}) {
     const RunResult original = run_experiment(topo(), spec);
@@ -653,13 +645,10 @@ TEST(Journal, RunResultBlobRoundTripsByteIdentically) {
   for (std::size_t i = 0; i < back.size(); ++i) {
     EXPECT_EQ(*back[i], 1000 + i) << "counter " << i;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Journal, CorruptBlobReadsAsNullopt) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_blob_corrupt_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+  const test::ScratchDir dir{"peerscope_blob_corrupt"};
   EXPECT_FALSE(read_run_result(dir / "missing.result").has_value());
 
   // Truncated: a real blob that lost its last byte.
@@ -694,16 +683,13 @@ TEST(Journal, CorruptBlobReadsAsNullopt) {
   encoder.append(frame);
   write_fixture(dir / "domain.result", stream);
   EXPECT_FALSE(read_run_result(dir / "domain.result").has_value());
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Journal, BitRotInTheBlobFailsTheCrcCheck) {
   // One random flip anywhere in a real blob — header, frame length,
   // checksum or payload — must read as unfinished, never as data.
   const RunResult original = run_experiment(topo(), tiny_spec(6));
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_blob_crc_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+  const test::ScratchDir dir{"peerscope_blob_crc"};
   const auto path = dir / "rot.result";
   write_run_result(path, original);
   const std::string clean = slurp(path);
@@ -718,7 +704,6 @@ TEST(Journal, BitRotInTheBlobFailsTheCrcCheck) {
     write_fixture(path, buf);
     EXPECT_FALSE(read_run_result(path).has_value()) << "flip bit " << bit;
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(SupervisorTest, TornResultBlobIsRerunOnResume) {

@@ -16,13 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstddef>
 #include <filesystem>
-#include <fstream>
 #include <string>
-#include <system_error>
 #include <tuple>
-#include <unistd.h>
 #include <vector>
 
 namespace peerscope::lint {
@@ -437,6 +433,19 @@ TEST(CodeView, HandlesRawStringsAndEscapes) {
   EXPECT_THAT(code_view(source), Not(HasSubstr("ofstream")));
 }
 
+TEST(CodeView, DigitSeparatorsDoNotOpenCharLiterals) {
+  const std::string source =
+      "long n = 1'000'000; auto h = 0xff'ff;\n"
+      "char c = 'q'; auto u = u8'z';\n"
+      "std::ofstream out;\n";
+  const std::string view = code_view(source);
+  EXPECT_THAT(view, HasSubstr("1'000'000"));
+  EXPECT_THAT(view, HasSubstr("0xff'ff"));
+  EXPECT_THAT(view, Not(HasSubstr("q")));
+  EXPECT_THAT(view, Not(HasSubstr("z")));
+  EXPECT_THAT(view, HasSubstr("std::ofstream out;"));
+}
+
 TEST(NoCommentView, KeepsStringsDropsComments) {
   const std::string source =
       "const char* s = \"kept.literal/1\";  // dropped.comment/2\n";
@@ -446,12 +455,12 @@ TEST(NoCommentView, KeepsStringsDropsComments) {
 }
 
 TEST(FindingToString, FormatsFileLineRuleMessage) {
-  const Finding finding{"src/a.cpp", 12, "some-rule", "message", {}};
+  const Finding finding{"src/a.cpp", 12, "some-rule", "message"};
   EXPECT_EQ(to_string(finding), "src/a.cpp:12: [some-rule] message");
 }
 
 TEST(FindingToString, OmitsLineZero) {
-  const Finding finding{"build/x.o", 0, "some-rule", "committed", {}};
+  const Finding finding{"build/x.o", 0, "some-rule", "committed"};
   EXPECT_EQ(to_string(finding), "build/x.o: [some-rule] committed");
 }
 
@@ -462,7 +471,7 @@ TEST(IterationRule, BareRangeForOverUnorderedMemberIsAFinding) {
   EXPECT_THAT(findings,
               Contains(AllOf(HasSubstr("loops.cpp:5"),
                              HasSubstr("`table_`"),
-                             HasSubstr("lint: ordered"))));
+                             HasSubstr("allow(nondeterministic-iteration)"))));
 }
 
 TEST(IterationRule, AccessorReturningUnorderedIsAFinding) {
@@ -597,223 +606,26 @@ TEST(LayeringRule, AbsentLayersDefSkipsTheRuleSilently) {
   EXPECT_THAT(result.findings, IsEmpty());
 }
 
-// --- fingerprints and baseline ---------------------------------------
+// --- test-scratch-dir -------------------------------------------------
 
-TEST(Fingerprint, MatchesTheDocumentedFnv1aConstruction) {
-  // Golden value cross-checked against an independent FNV-1a
-  // implementation of rule NUL rel-path NUL key.
-  EXPECT_EQ(fingerprint("rng-discipline", "src/a.cpp",
-                        "int x = std::rand();"),
-            "43f8d53763b586d8");
-  EXPECT_EQ(fingerprint("demo-rule", "demo/path.cpp", "line text"),
-            "dbb69ed88a68ac9c");
+TEST(ScratchDirRule, HandBuiltTempPathsInTestsAreFindings) {
+  const auto findings = lint_fixture("scratch_dir", kRuleScratchDir);
+  EXPECT_THAT(findings,
+              Contains(AllOf(HasSubstr("tests/paths.cpp:4"),
+                             HasSubstr("temp_directory_path"),
+                             HasSubstr("tests/support/scratch_dir.hpp"))));
+  EXPECT_THAT(findings,
+              Contains(AllOf(HasSubstr("tests/paths.cpp:8"),
+                             HasSubstr("testing::TempDir"))));
 }
 
-TEST(Fingerprint, IsLineNumberIndependentAndPathSensitive) {
-  EXPECT_NE(fingerprint("r", "a.cpp", "x"), fingerprint("r", "b.cpp", "x"));
-  EXPECT_NE(fingerprint("r", "a.cpp", "x"), fingerprint("q", "a.cpp", "x"));
-  // The separator keeps ("ab","c") distinct from ("a","bc").
-  EXPECT_NE(fingerprint("r", "ab", "c"), fingerprint("r", "a", "bc"));
-}
-
-TEST(Fingerprint, EveryFindingCarriesOne) {
-  Options options;
-  options.root = fixture_root("rng");
-  options.rules.insert(std::string{kRuleRng});
-  options.check_tracked = false;
-  const LintResult result = run(options);
-  ASSERT_FALSE(result.findings.empty());
-  for (const auto& finding : result.findings) {
-    EXPECT_EQ(finding.fingerprint.size(), 16u) << to_string(finding);
-    EXPECT_EQ(finding.fingerprint.find_first_not_of("0123456789abcdef"),
-              std::string::npos);
-  }
-}
-
-class BaselineTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_lint_baseline_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-    path_ = dir_ / "baseline.txt";
-  }
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-
-  void write_baseline(const std::string& content) {
-    // Test scratch file, not a run artifact.
-    std::ofstream out{path_};  // peerscope-lint: allow(no-raw-artifact-io)
-    out << content;
-  }
-
-  [[nodiscard]] LintResult run_rng(bool with_baseline) const {
-    Options options;
-    options.root = fixture_root("rng");
-    options.rules.insert(std::string{kRuleRng});
-    options.check_tracked = false;
-    if (with_baseline) options.baseline = path_;
-    return run(options);
-  }
-
-  std::filesystem::path dir_;
-  std::filesystem::path path_;
-};
-
-TEST_F(BaselineTest, ListedFingerprintsAreSuppressedAndCounted) {
-  const LintResult before = run_rng(false);
-  ASSERT_FALSE(before.findings.empty());
-  std::string baseline = "# accepted debt\n";
-  for (const auto& finding : before.findings) {
-    baseline += finding.fingerprint + " " + finding.rule + " " +
-                finding.file.generic_string() + "\n";
-  }
-  write_baseline(baseline);
-  const LintResult after = run_rng(true);
-  EXPECT_THAT(after.errors, IsEmpty());
-  EXPECT_THAT(after.findings, IsEmpty());
-  EXPECT_EQ(after.baseline_suppressed, before.findings.size());
-}
-
-TEST_F(BaselineTest, StaleEntryBecomesAFinding) {
-  write_baseline("0123456789abcdef rng-discipline src/ghost.cpp\n");
-  const LintResult result = run_rng(true);
-  EXPECT_THAT(result.errors, IsEmpty());
-  EXPECT_EQ(result.baseline_suppressed, 0u);
-  bool found_stale = false;
-  for (const auto& finding : result.findings) {
-    if (finding.message.find("stale") != std::string::npos &&
-        finding.message.find("0123456789abcdef") != std::string::npos) {
-      found_stale = true;
-      EXPECT_EQ(finding.line, 1u);
-    }
-  }
-  EXPECT_TRUE(found_stale);
-}
-
-TEST_F(BaselineTest, MalformedLineIsAConfigError) {
-  write_baseline("not-a-fingerprint rng-discipline src/x.cpp\n");
-  const LintResult result = run_rng(true);
-  EXPECT_THAT(result.errors, Contains(HasSubstr("malformed baseline")));
-}
-
-TEST_F(BaselineTest, MissingBaselineFileIsAConfigError) {
-  const LintResult result = run_rng(true);  // path_ never written
-  EXPECT_THAT(result.errors, Contains(HasSubstr("cannot read baseline")));
-}
-
-// --- SARIF ------------------------------------------------------------
-
-/// Minimal structural JSON check: quotes/escapes tracked, braces and
-/// brackets balanced in order. Catches broken escaping or nesting
-/// without a full parser.
-bool json_well_formed(std::string_view text) {
-  std::vector<char> stack;
-  bool in_string = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      } else if (c == '\n') {
-        return false;  // raw newline inside a string
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_string = true;
-        break;
-      case '{':
-      case '[':
-        stack.push_back(c);
-        break;
-      case '}':
-        if (stack.empty() || stack.back() != '{') return false;
-        stack.pop_back();
-        break;
-      case ']':
-        if (stack.empty() || stack.back() != '[') return false;
-        stack.pop_back();
-        break;
-      default:
-        break;
-    }
-  }
-  return !in_string && stack.empty();
-}
-
-TEST(Sarif, RendersVersionRulesAndOneResultPerFinding) {
-  Options options;
-  options.root = fixture_root("locks");
-  options.rules.insert(std::string{kRuleLocks});
-  options.check_tracked = false;
-  const LintResult result = run(options);
-  ASSERT_FALSE(result.findings.empty());
-  const std::string sarif = to_sarif(result, options.root);
-  EXPECT_TRUE(json_well_formed(sarif));
-  EXPECT_THAT(sarif, HasSubstr("\"version\": \"2.1.0\""));
-  EXPECT_THAT(sarif, HasSubstr("sarif-2.1.0.json"));
-  EXPECT_THAT(sarif, HasSubstr("\"name\": \"peerscope-lint\""));
-  for (const auto rule : rule_names()) {
-    EXPECT_THAT(sarif, HasSubstr("\"id\": \"" + std::string{rule} + "\""));
-  }
-  std::size_t results = 0;
-  for (std::size_t pos = sarif.find("\"ruleId\"");
-       pos != std::string::npos;
-       pos = sarif.find("\"ruleId\"", pos + 1)) {
-    ++results;
-  }
-  EXPECT_EQ(results, result.findings.size());
-  // URIs are root-relative with forward slashes.
-  EXPECT_THAT(sarif, HasSubstr("\"uri\": \"src/guarded.cpp\""));
-  EXPECT_THAT(sarif, HasSubstr("\"startLine\": 4"));
-  EXPECT_THAT(sarif, HasSubstr("partialFingerprints"));
-}
-
-TEST(Sarif, EscapesMessagesAndOmitsRegionForLineZeroFindings) {
-  LintResult result;
-  result.findings.push_back({"src/a.cpp", 12, "demo-rule",
-                             "say \"hi\" back\\slash\tand\x01",
-                             "0011223344556677"});
-  result.findings.push_back(
-      {"build/x.o", 0, "demo-rule", "whole-file", "8899aabbccddeeff"});
-  const std::string sarif = to_sarif(result, ".");
-  EXPECT_TRUE(json_well_formed(sarif));
-  // The results section byte for byte: short escapes for `"` `\` and
-  // tab, \u00xx for other control bytes, and no region for line 0.
-  const auto results = sarif.find("      \"results\"");
-  ASSERT_NE(results, std::string::npos);
-  EXPECT_EQ(
-      sarif.substr(results),
-      "      \"results\": [\n"
-      "        {\n"
-      "          \"ruleId\": \"demo-rule\",\n"
-      "          \"level\": \"error\",\n"
-      "          \"message\": {\"text\": \"say \\\"hi\\\" "
-      "back\\\\slash\\tand\\u0001\"},\n"
-      "          \"partialFingerprints\": {\"peerscopeLint/v1\": "
-      "\"0011223344556677\"},\n"
-      "          \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
-      "{\"uri\": \"src/a.cpp\"}, \"region\": {\"startLine\": 12}}}]\n"
-      "        },\n"
-      "        {\n"
-      "          \"ruleId\": \"demo-rule\",\n"
-      "          \"level\": \"error\",\n"
-      "          \"message\": {\"text\": \"whole-file\"},\n"
-      "          \"partialFingerprints\": {\"peerscopeLint/v1\": "
-      "\"8899aabbccddeeff\"},\n"
-      "          \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
-      "{\"uri\": \"build/x.o\"}}}]\n"
-      "        }\n"
-      "      ]\n"
-      "    }\n"
-      "  ]\n"
-      "}\n");
+TEST(ScratchDirRule, SupportHelperSrcCommentsAndAllowsAreClean) {
+  const auto findings = lint_fixture("scratch_dir", kRuleScratchDir);
+  // The message itself names tests/support/, so match the helper file.
+  EXPECT_THAT(findings, Not(Contains(HasSubstr("support/scratch.hpp"))));
+  EXPECT_THAT(findings, Not(Contains(HasSubstr("scratch_dir/src/"))));
+  EXPECT_THAT(findings, Not(Contains(HasSubstr("paths.cpp:12"))));
+  EXPECT_EQ(findings.size(), 2u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/scratch_dir.hpp"
 #include "util/thread_pool.hpp"
 
 namespace peerscope::obs {
@@ -277,14 +278,13 @@ TEST(MetricsGolden, WrittenFileMatchesRendering) {
   counter("file.counter").add(7);
   install(nullptr);
 
-  const auto path = std::filesystem::path{::testing::TempDir()} /
-                    "peerscope_metrics_golden.json";
+  const test::ScratchDir dir{"peerscope_metrics_golden"};
+  const auto path = dir / "metrics.json";
   write_metrics_json(path, reg.snapshot(), /*deterministic=*/true);
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in);
   std::ostringstream buf;
   buf << in.rdbuf();
-  std::filesystem::remove(path);
   EXPECT_EQ(buf.str(), deterministic_json(reg.snapshot()));
 }
 

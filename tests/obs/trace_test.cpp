@@ -15,13 +15,15 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_summary.hpp"
+#include "support/scratch_dir.hpp"
 #include "util/atomic_file.hpp"
 
 namespace peerscope::obs {
 namespace {
 
 std::filesystem::path temp_path(const char* name) {
-  return std::filesystem::path{::testing::TempDir()} / name;
+  static const test::ScratchDir dir{"peerscope_trace_test"};
+  return dir / name;
 }
 
 /// Installs a recorder for the test body and guarantees uninstall even

@@ -25,7 +25,7 @@ SwarmConfig config_with_loss(double loss) {
   cfg.profile.population.background_peers = 150;
   cfg.seed = 33;
   cfg.duration = SimTime::seconds(30);
-  cfg.loss_rate = loss;
+  cfg.impairment.loss_rate = loss;
   return cfg;
 }
 

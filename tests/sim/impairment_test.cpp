@@ -41,7 +41,8 @@ TEST(ImpairmentSpec, AnyKnobEnables) {
 TEST(GilbertElliott, FlatLossMatchesLegacyBernoulliDrawForDraw) {
   // loss_burst <= 1 must reproduce the exact legacy `rng.chance(rate)`
   // sequence — the byte-identical-reproduction guarantee hangs on it.
-  const auto spec = ImpairmentSpec::flat_loss(0.07);
+  ImpairmentSpec spec;
+  spec.loss_rate = 0.07;
   Rng a{1234};
   Rng b{1234};
   GilbertElliott channel;

@@ -11,9 +11,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
+#include "support/scratch_dir.hpp"
 #include "util/crc32c.hpp"
 
 namespace peerscope::trace {
@@ -27,13 +27,6 @@ constexpr std::size_t kFrameSize = 8 + 19;  // len + crc + payload
 
 class BinaryFormatTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_psbt_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   static std::vector<PacketRecord> make_records(std::size_t n) {
     std::vector<PacketRecord> records;
     records.reserve(n);
@@ -85,7 +78,7 @@ class BinaryFormatTest : public ::testing::Test {
     }
   }
 
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_psbt"};
 };
 
 // --- clean roundtrip --------------------------------------------------

@@ -8,8 +8,8 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
+#include "support/scratch_dir.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/pcap.hpp"
 #include "util/rng.hpp"
@@ -21,13 +21,6 @@ using net::Ipv4Addr;
 
 class FuzzTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_fuzz_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::string read_all(const std::filesystem::path& path) {
     std::ifstream in(path, std::ios::binary);
     return {std::istreambuf_iterator<char>(in),
@@ -39,7 +32,7 @@ class FuzzTest : public ::testing::Test {
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
   }
 
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_fuzz_test"};
 };
 
 std::vector<PacketRecord> sample_records() {

@@ -7,8 +7,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
+#include "support/scratch_dir.hpp"
 #include "trace/binary_format.hpp"
 #include "util/crc32c.hpp"
 
@@ -20,14 +20,7 @@ using util::SimTime;
 
 class TraceIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_io_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_io_test"};
 };
 
 std::vector<PacketRecord> sample_records() {

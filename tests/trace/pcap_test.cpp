@@ -4,9 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
 #include "sim/packet.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace peerscope::trace {
 namespace {
@@ -19,13 +19,7 @@ const Ipv4Addr kRemote{20, 1, 2, 3};
 
 class PcapTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_pcap_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_pcap_test"};
 };
 
 std::vector<PacketRecord> sample() {
@@ -109,11 +103,32 @@ TEST_F(PcapTest, EmptyCapture) {
   EXPECT_EQ(std::filesystem::file_size(path), 24u);
 }
 
+// Each record is a 16-byte header plus 28 stored bytes, so record i's
+// header starts at 24 + 44 * i; its captured length sits 8 bytes in
+// and its original length 12 bytes in.
+constexpr std::streamoff kRecordBytes = 44;
+
+/// Overwrites 4 bytes of `path` at `offset` with `value`.
+void patch_u32(const std::filesystem::path& path, std::streamoff offset,
+               char value) {
+  // peerscope-lint: allow(no-raw-artifact-io): corrupts a test fixture
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  f.seekp(offset);
+  for (int i = 0; i < 4; ++i) f.put(value);
+}
+
 TEST_F(PcapTest, ReaderRejectsGarbage) {
   const auto path = dir_ / "bad.pcap";
   // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
   std::ofstream(path) << "definitely not a pcap file, not even trying";
   EXPECT_THROW((void)read_pcap(path, kProbe), std::runtime_error);
+
+  // A zeroed original length would alias to a nonsense byte count.
+  const auto orig = dir_ / "orig.pcap";
+  write_pcap(orig, kProbe, sample());
+  patch_u32(orig, 24 + 12, '\0');
+  EXPECT_THROW((void)read_pcap(orig, kProbe), std::runtime_error);
 }
 
 TEST_F(PcapTest, ReaderRejectsTruncatedPacket) {
@@ -122,6 +137,18 @@ TEST_F(PcapTest, ReaderRejectsTruncatedPacket) {
   std::filesystem::resize_file(path,
                                std::filesystem::file_size(path) - 3);
   EXPECT_THROW((void)read_pcap(path, kProbe), std::runtime_error);
+
+  // The file ends 7 bytes into the last record's header.
+  const auto mid_header = dir_ / "midhdr.pcap";
+  write_pcap(mid_header, kProbe, sample());
+  std::filesystem::resize_file(mid_header, 24 + kRecordBytes + 7);
+  EXPECT_THROW((void)read_pcap(mid_header, kProbe), std::runtime_error);
+
+  // The last record's captured length points past the end of the file.
+  const auto incl = dir_ / "incl.pcap";
+  write_pcap(incl, kProbe, sample());
+  patch_u32(incl, 24 + kRecordBytes + 8, '\xff');
+  EXPECT_THROW((void)read_pcap(incl, kProbe), std::runtime_error);
 }
 
 TEST_F(PcapTest, ReaderRejectsForeignPackets) {

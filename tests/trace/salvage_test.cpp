@@ -7,10 +7,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
+#include "support/scratch_dir.hpp"
 #include "trace/binary_format.hpp"
-#include "trace/pcap.hpp"
 #include "util/crc32c.hpp"
 
 namespace peerscope::trace {
@@ -22,14 +21,7 @@ using util::SimTime;
 
 class SalvageTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_salvage_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_salvage_test"};
 };
 
 std::vector<PacketRecord> sample_records(int n = 50) {
@@ -219,110 +211,6 @@ TEST_F(SalvageTest, TrailingGarbageIsCountedNotParsed) {
   EXPECT_FALSE(report.truncated);
   EXPECT_NE(report.note.find("trailing"), std::string::npos);
   EXPECT_THROW((void)read_trace_binary(path), std::runtime_error);
-}
-
-TEST_F(SalvageTest, PcapSalvageMatchesStrictOnCleanFile) {
-  const auto path = dir_ / "clean.pcap";
-  const Ipv4Addr probe{10, 0, 0, 1};
-  const auto records = sample_records();
-  write_pcap(path, probe, records);
-
-  SalvageReport report;
-  const auto salvaged = read_pcap_salvage(path, probe, &report);
-  const auto strict = read_pcap(path, probe);
-  EXPECT_TRUE(report.clean());
-  ASSERT_EQ(salvaged.size(), strict.size());
-  for (std::size_t i = 0; i < strict.size(); ++i) {
-    EXPECT_EQ(salvaged[i].ts, strict[i].ts);
-    EXPECT_EQ(salvaged[i].remote, strict[i].remote);
-    EXPECT_EQ(salvaged[i].bytes, strict[i].bytes);
-  }
-}
-
-TEST_F(SalvageTest, PcapTruncatedTailKeepsPrefix) {
-  const auto path = dir_ / "trunc.pcap";
-  const Ipv4Addr probe{10, 0, 0, 1};
-  write_pcap(path, probe, sample_records());
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 11);
-
-  SalvageReport report;
-  const auto salvaged = read_pcap_salvage(path, probe, &report);
-  EXPECT_EQ(salvaged.size(), 49u);
-  EXPECT_TRUE(report.truncated);
-  EXPECT_GT(report.bytes_discarded, 0u);
-  EXPECT_THROW((void)read_pcap(path, probe), std::runtime_error);
-}
-
-// Default snaplen is 28, so each pcap record is 16 + 28 bytes and
-// record i's header sits at 24 + i*44.
-constexpr std::streamoff kPcapRecord = 44;
-
-TEST_F(SalvageTest, PcapTruncatedFinalRecordHeaderIsAccounted) {
-  // The file ends 7 bytes into the last record's 16-byte header — the
-  // regression case where the salvage reader used to read past the
-  // buffer instead of stopping at the partial header.
-  const auto path = dir_ / "midhdr.pcap";
-  const Ipv4Addr probe{10, 0, 0, 1};
-  write_pcap(path, probe, sample_records());
-  std::filesystem::resize_file(path, 24 + 49 * kPcapRecord + 7);
-
-  SalvageReport report;
-  const auto salvaged = read_pcap_salvage(path, probe, &report);
-  EXPECT_EQ(salvaged.size(), 49u);
-  EXPECT_TRUE(report.truncated);
-  EXPECT_EQ(report.bytes_discarded, 7u);
-  EXPECT_THROW((void)read_pcap(path, probe), std::runtime_error);
-}
-
-TEST_F(SalvageTest, PcapOversizedInclLengthDoesNotOverread) {
-  // A corrupt captured-length pointing past EOF must end the salvage,
-  // not send the reader out of bounds.
-  const auto path = dir_ / "incl.pcap";
-  const Ipv4Addr probe{10, 0, 0, 1};
-  write_pcap(path, probe, sample_records());
-  const std::streamoff incl_at = 24 + 49 * kPcapRecord + 8;
-  for (int i = 0; i < 4; ++i) {
-    patch_byte(path, incl_at + i, '\xff');
-  }
-
-  SalvageReport report;
-  const auto salvaged = read_pcap_salvage(path, probe, &report);
-  EXPECT_EQ(salvaged.size(), 49u);
-  EXPECT_TRUE(report.truncated);
-  EXPECT_EQ(report.bytes_discarded, 44u);  // the whole last record
-  EXPECT_THROW((void)read_pcap(path, probe), std::runtime_error);
-}
-
-TEST_F(SalvageTest, PcapImplausibleOriginalLengthIsSkippedAlone) {
-  // original_length of 0 would alias to a nonsense byte count; the
-  // frame boundary holds, so salvage drops just that record.
-  const auto path = dir_ / "orig.pcap";
-  const Ipv4Addr probe{10, 0, 0, 1};
-  write_pcap(path, probe, sample_records());
-  const std::streamoff orig_at = 24 + 10 * kPcapRecord + 12;
-  for (int i = 0; i < 4; ++i) {
-    patch_byte(path, orig_at + i, '\0');
-  }
-
-  SalvageReport report;
-  const auto salvaged = read_pcap_salvage(path, probe, &report);
-  EXPECT_EQ(salvaged.size(), 49u);
-  EXPECT_EQ(report.records_skipped, 1u);
-  EXPECT_EQ(report.records_rejected, 1u);
-  EXPECT_FALSE(report.truncated);
-  EXPECT_THROW((void)read_pcap(path, probe), std::runtime_error);
-}
-
-TEST_F(SalvageTest, PcapBadGlobalHeaderRecoversNothing) {
-  const auto path = dir_ / "hdr.pcap";
-  // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
-  std::ofstream(path, std::ios::binary) << "not a pcap";
-  SalvageReport report;
-  const auto salvaged = read_pcap_salvage(path, Ipv4Addr{10, 0, 0, 1},
-                                          &report);
-  EXPECT_TRUE(salvaged.empty());
-  EXPECT_FALSE(report.header_valid);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unistd.h>
 
+#include "support/scratch_dir.hpp"
 #include "util/io_faults.hpp"
 
 namespace peerscope::util {
@@ -18,15 +18,7 @@ namespace {
 
 class AtomicFileFaultsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_atomic_faults_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    io::clear_faults();
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { io::clear_faults(); }
 
   std::string slurp(const std::filesystem::path& path) {
     std::ifstream in(path, std::ios::binary);
@@ -40,7 +32,8 @@ class AtomicFileFaultsTest : public ::testing::Test {
   /// `expected`.
   void expect_intact(const std::filesystem::path& dest,
                      const std::string* expected) {
-    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir_.path())) {
       EXPECT_EQ(entry.path().filename().string().find(".tmp."),
                 std::string::npos)
           << "leaked temp file: " << entry.path();
@@ -53,7 +46,7 @@ class AtomicFileFaultsTest : public ::testing::Test {
     }
   }
 
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_atomic_faults"};
 };
 
 TEST_F(AtomicFileFaultsTest, EnospcLeavesNoDestinationAndNoTemp) {

@@ -5,20 +5,14 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unistd.h>
+
+#include "support/scratch_dir.hpp"
 
 namespace peerscope::util {
 namespace {
 
 class AtomicFileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_atomic_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::string slurp(const std::filesystem::path& path) {
     std::ifstream in(path, std::ios::binary);
     std::ostringstream buf;
@@ -26,7 +20,7 @@ class AtomicFileTest : public ::testing::Test {
     return buf.str();
   }
 
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_atomic_test"};
 };
 
 TEST_F(AtomicFileTest, WritesExactBytes) {
@@ -47,7 +41,7 @@ TEST_F(AtomicFileTest, ReplacesExistingFileWholesale) {
 TEST_F(AtomicFileTest, LeavesNoTempFileBehind) {
   write_file_atomic(dir_ / "out.txt", "payload");
   std::size_t entries = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir_.path())) {
     ++entries;
     EXPECT_EQ(entry.path().filename(), "out.txt");
   }

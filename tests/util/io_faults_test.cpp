@@ -15,20 +15,14 @@
 #include <sstream>
 #include <string>
 
+#include "support/scratch_dir.hpp"
+
 namespace peerscope::util::io {
 namespace {
 
 class IoFaultsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_io_faults_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    clear_faults();
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { clear_faults(); }
 
   /// Writes `data` through the shim into a fresh file, retrying
   /// EINTR/short results the way every real caller does, and returns
@@ -61,7 +55,7 @@ class IoFaultsTest : public ::testing::Test {
     return buf.str();
   }
 
-  std::filesystem::path dir_;
+  const test::ScratchDir dir_{"peerscope_io_faults"};
 };
 
 // --- grammar ----------------------------------------------------------

@@ -10,21 +10,21 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "exp/journal.hpp"
 #include "exp/status.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
+#include "support/scratch_dir.hpp"
 #include "util/io_faults.hpp"
 
 namespace peerscope::util::json {
 namespace {
 
 std::filesystem::path temp_path(const std::string& name) {
-  return std::filesystem::path{::testing::TempDir()} /
-         ("peerscope_json_test_" + std::to_string(::getpid()) + "_" + name);
+  static const test::ScratchDir dir{"peerscope_json_test"};
+  return dir / name;
 }
 
 std::string read_all(const std::filesystem::path& path) {

@@ -1,17 +1,17 @@
 // peerscope-lint: the project-invariant static analysis pass.
 //
-// PRs 1–3 established repo-wide contracts that the compiler cannot
-// see: artifact writes go through util::write_file_atomic, metric and
-// span names match src/obs/metric_names.def and trace event names
-// match src/obs/trace_names.def (both directions, both under the
-// metric-name-registry rule), `peerscope.<thing>/<n>` schema strings
-// match src/obs/schema_versions.def, CLI exit codes stay unique and
-// documented, and headers follow the house hygiene rules. This library walks the tree and enforces each contract as a
-// named, suppressible rule (DESIGN.md §11); `tools/peerscope_lint.cpp`
-// is the CLI, `tests/lint/` the fixture suite, and the `lint` ctest
-// label runs both over the real tree.
+// The tree keeps contracts the compiler cannot see: artifact writes go
+// through util::write_file_atomic, metric, span and trace-event names
+// match the src/obs/*.def registries (both directions),
+// `peerscope.<thing>/<n>` schema strings match
+// src/obs/schema_versions.def, CLI exit codes stay unique and
+// documented, fixed seeds replay byte for byte, and headers follow the
+// house hygiene rules. This library walks the tree and enforces each
+// contract as a named, suppressible rule (DESIGN.md §11);
+// `tools/peerscope_lint.cpp` is the CLI, `tests/lint/` the fixture
+// suite, and the `lint` ctest label runs both over the real tree.
 //
-// Suppression syntax, checked per rule name:
+// Suppression syntax, the only one, checked per rule name:
 //   // peerscope-lint: allow(<rule>[, <rule>...])       one line
 //   // peerscope-lint: allow-file(<rule>[, <rule>...])  whole file
 // An `allow` on a line with no code applies to the next line instead.
@@ -41,12 +41,13 @@ inline constexpr std::string_view kRuleIteration =
 inline constexpr std::string_view kRuleRng = "rng-discipline";
 inline constexpr std::string_view kRuleLocks = "lock-annotation";
 inline constexpr std::string_view kRuleLayering = "module-layering";
+inline constexpr std::string_view kRuleScratchDir = "test-scratch-dir";
 
 /// All rule names, in reporting order.
 [[nodiscard]] std::vector<std::string_view> rule_names();
 
-/// One-line summary of what a rule enforces (for --list-rules and the
-/// SARIF rule table). Unknown names get an empty view.
+/// One-line summary of what a rule enforces (for --list-rules).
+/// Unknown names get an empty view.
 [[nodiscard]] std::string_view rule_description(std::string_view rule);
 
 /// One diagnostic. `line` is 1-based; 0 means the finding is about the
@@ -56,12 +57,6 @@ struct Finding {
   std::size_t line = 0;
   std::string rule;
   std::string message;
-  /// Stable identity for baselining: FNV-1a 64 of
-  /// rule NUL rel-path NUL trimmed-line-text, as 16 lowercase hex
-  /// digits. Line-number independent, so edits elsewhere in the file
-  /// never stale a baseline entry; two identical offending lines in
-  /// one file share a fingerprint (one entry suppresses both).
-  std::string fingerprint;
 };
 
 /// "file:line: [rule] message" — the format CI greps and humans click.
@@ -75,11 +70,6 @@ struct Options {
   /// Gates the git-backed no-committed-build-artifacts rule (tests
   /// drive check_tracked_paths directly instead).
   bool check_tracked = true;
-  /// Baseline file (`<fingerprint> <rule> <path>` per line, `#`
-  /// comments). Matching findings are suppressed and counted in
-  /// baseline_suppressed; entries that match nothing become stale-entry
-  /// findings so the baseline can only shrink. Empty = no baseline.
-  std::filesystem::path baseline;
 };
 
 struct LintResult {
@@ -87,8 +77,6 @@ struct LintResult {
   /// Configuration problems (missing registry, unknown rule): the tree
   /// was not fully checked and the caller should exit 2, not 1.
   std::vector<std::string> errors;
-  /// Findings swallowed by Options::baseline (not in `findings`).
-  std::size_t baseline_suppressed = 0;
 };
 
 /// Walks src/, tools/, bench/, tests/, examples/ under options.root
@@ -101,7 +89,7 @@ struct LintResult {
 /// `source` with comment and string/char-literal *contents* blanked to
 /// spaces (newlines kept, so line numbers survive). Token scans run on
 /// this view, which is why a banned token inside a string or comment —
-/// including this linter's own rule table — never fires.
+/// including this linter's own ban table — never fires.
 [[nodiscard]] std::string code_view(std::string_view source);
 
 /// Like code_view but keeps string literals: the view the metric-name
@@ -113,21 +101,5 @@ struct LintResult {
 /// repo-relative path per entry (what `git ls-files` prints).
 [[nodiscard]] std::vector<Finding> check_tracked_paths(
     const std::vector<std::string>& tracked);
-
-/// The Finding::fingerprint hash, exposed so tests (and baseline
-/// tooling) can compute expected values: FNV-1a 64 over
-/// `rule NUL rel_path NUL key`, rendered as 16 lowercase hex digits.
-/// `key` is the trimmed offending line for line findings, the message
-/// for file-level ones.
-[[nodiscard]] std::string fingerprint(std::string_view rule,
-                                      std::string_view rel_path,
-                                      std::string_view key);
-
-/// SARIF 2.1.0 rendering of a completed run: one run, the full rule
-/// table (id + shortDescription), one result per finding with
-/// level "error", the fingerprint under partialFingerprints, and
-/// file URIs relative to `root`. Line-0 findings omit the region.
-[[nodiscard]] std::string to_sarif(const LintResult& result,
-                                   const std::filesystem::path& root);
 
 }  // namespace peerscope::lint
