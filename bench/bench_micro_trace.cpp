@@ -7,8 +7,8 @@
 #include <unistd.h>
 
 #include "trace/binary_format.hpp"
+#include "trace/flow.hpp"
 #include "trace/pcap.hpp"
-#include "trace/sink.hpp"
 #include "util/rng.hpp"
 
 using namespace peerscope;
@@ -42,17 +42,19 @@ std::filesystem::path scratch_file(const char* name) {
           name);
 }
 
-void BM_SinkIngest(benchmark::State& state) {
+// One FlowTable update per record: the per-packet online path, which
+// the swarm's sinks take for every signaling packet.
+void BM_FlowIngest(benchmark::State& state) {
   const auto records = synth(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    trace::ProbeSink sink{net::Ipv4Addr{10, 0, 0, 1}, false};
-    for (const auto& r : records) sink.on_packet(r);
-    benchmark::DoNotOptimize(sink.flows().flow_count());
+    trace::FlowTable table{net::Ipv4Addr{10, 0, 0, 1}};
+    for (const auto& r : records) table.add(r);
+    benchmark::DoNotOptimize(table.flow_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_SinkIngest)->Arg(100'000);
+BENCHMARK(BM_FlowIngest)->Arg(100'000);
 
 void BM_TraceWrite(benchmark::State& state) {
   const auto records = synth(static_cast<std::size_t>(state.range(0)));

@@ -9,6 +9,11 @@
 
 namespace peerscope::net {
 
+namespace {
+/// dist_ entry for an AS pair with no path between them.
+constexpr int kUnreachable = std::numeric_limits<int>::max() / 4;
+}  // namespace
+
 std::string to_string(Region region) {
   switch (region) {
     case Region::kEurope:
@@ -63,8 +68,7 @@ std::size_t AsTopology::index_of(AsId as) const {
 
 void AsTopology::finalize() {
   const std::size_t n = nodes_.size();
-  constexpr int kInf = std::numeric_limits<int>::max() / 4;
-  dist_.assign(n * n, kInf);
+  dist_.assign(n * n, kUnreachable);
 
   // Dijkstra from every source. Traversing an inter-AS link costs 1
   // (the border router pair counts as one decrementing hop on entry)
@@ -79,7 +83,7 @@ void AsTopology::finalize() {
   // weight w(u -> v) = 1 + transit(v), then subtract transit(j) at the
   // end so the destination AS is not transited.
   for (std::size_t src = 0; src < n; ++src) {
-    std::vector<int> d(n, kInf);
+    std::vector<int> d(n, kUnreachable);
     using Item = std::pair<int, std::size_t>;
     std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
     d[src] = 0;
@@ -99,7 +103,7 @@ void AsTopology::finalize() {
     for (std::size_t j = 0; j < n; ++j) {
       if (j == src) {
         dist_[src * n + j] = 0;
-      } else if (d[j] < kInf) {
+      } else if (d[j] < kUnreachable) {
         dist_[src * n + j] = d[j] - nodes_[j].transit_hops;
       }
     }
@@ -129,7 +133,7 @@ int AsTopology::as_path_hops(AsId a, AsId b) const {
   const std::size_t ia = index_of(a);
   const std::size_t ib = index_of(b);
   const int d = dist_[ia * nodes_.size() + ib];
-  if (d >= std::numeric_limits<int>::max() / 4) {
+  if (d >= kUnreachable) {
     throw std::runtime_error("AsTopology: " + a.to_string() + " and " +
                              b.to_string() + " are disconnected");
   }
@@ -168,16 +172,24 @@ PathInfo AsTopology::path(const Endpoint& src, const Endpoint& dst) const {
     return {0, util::SimTime::micros(200)};
   }
 
-  const auto& sa = nodes_[index_of(src.as)];
-  const auto& da = nodes_[index_of(dst.as)];
+  // One index lookup per endpoint; dist_ is read directly.
+  const std::size_t ia = index_of(src.as);
+  const std::size_t ib = index_of(dst.as);
+  const auto& sa = nodes_[ia];
+  const auto& da = nodes_[ib];
 
   int hops;
-  if (src.as == dst.as) {
+  if (ia == ib) {
     // Intra-AS: through the IGP core, no border crossing.
     hops = src.router_depth + sa.transit_hops + dst.router_depth;
   } else {
-    hops = src.router_depth + sa.border_hops + as_path_hops(src.as, dst.as) +
-           da.border_hops + dst.router_depth;
+    int as_hops =
+        finalized_ ? dist_[ia * nodes_.size() + ib] : kUnreachable;
+    if (as_hops >= kUnreachable) {
+      as_hops = as_path_hops(src.as, dst.as);  // throws the reason
+    }
+    hops = src.router_depth + sa.border_hops + as_hops + da.border_hops +
+           dst.router_depth;
     // Deterministic forward/reverse asymmetry: hot-potato routing makes
     // one direction up to 2 hops longer. Derived from the ordered
     // address pair so hop(e,p) != hop(p,e) in general but both are
@@ -189,7 +201,7 @@ PathInfo AsTopology::path(const Endpoint& src, const Endpoint& dst) const {
 
   const bool same_country = src.country == dst.country;
   util::SimTime delay = base_delay(src.region, dst.region, same_country);
-  if (src.as == dst.as) {
+  if (ia == ib) {
     delay = util::SimTime::millis(2);  // IGP paths are short
   }
   delay += util::SimTime::micros(100) * static_cast<std::int64_t>(hops);

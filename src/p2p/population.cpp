@@ -121,11 +121,12 @@ Population Population::build(const net::AsTopology& topo,
   for (const AsId as : topo.as_ids()) {
     pop.allocator_.register_as(as, topo.country_of_as(as));
   }
+  // Probes, the source and the audience: sized once, never regrown.
+  pop.peers_.reserve(probes.size() + 1 + spec.background_peers);
 
   auto add_peer = [&pop](PeerInfo info) -> PeerId {
     info.id = static_cast<PeerId>(pop.peers_.size());
     pop.by_as_[info.ep.as].push_back(info.id);
-    pop.by_addr_.emplace(info.ep.addr, info.id);
     pop.peers_.push_back(info);
     return info.id;
   };
@@ -239,13 +240,6 @@ std::span<const PeerId> Population::peers_in_as(net::AsId as) const {
     return it->second;
   }
   return empty_;
-}
-
-std::optional<PeerId> Population::find(net::Ipv4Addr addr) const {
-  if (const auto it = by_addr_.find(addr); it != by_addr_.end()) {
-    return it->second;
-  }
-  return std::nullopt;
 }
 
 }  // namespace peerscope::p2p

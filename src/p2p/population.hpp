@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -81,7 +80,6 @@ class Population {
   /// Peers homed in a given AS (probes included); empty if none.
   [[nodiscard]] std::span<const PeerId> peers_in_as(net::AsId as) const;
 
-  [[nodiscard]] std::optional<PeerId> find(net::Ipv4Addr addr) const;
   [[nodiscard]] bool is_probe_addr(net::Ipv4Addr addr) const {
     return probe_addrs_.contains(addr);
   }
@@ -99,7 +97,6 @@ class Population {
   std::vector<PeerId> probe_ids_;
   std::vector<ProbeSpec> probe_specs_;
   std::unordered_map<net::AsId, std::vector<PeerId>> by_as_;
-  std::unordered_map<net::Ipv4Addr, PeerId> by_addr_;
   std::unordered_set<net::Ipv4Addr> probe_addrs_;
   PeerId source_ = 0;
   std::vector<PeerId> empty_;

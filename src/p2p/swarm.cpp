@@ -103,14 +103,16 @@ ChunkIndex Swarm::source_newest() const {
   return engine_.now() / chunk_interval_ - 1;
 }
 
-double Swarm::bg_lag_s(PeerId id, util::SimTime now) const {
+SimTime Swarm::bg_lag(Partner& partner, util::SimTime now) {
   const auto& spec = config_.profile.population;
+  const PeerId id = partner.id;
   // Per-peer phase so epoch boundaries are not synchronised.
   util::SplitMix64 phase_mix{config_.seed ^ (0x1a9f37ULL + id)};
   const double phase = static_cast<double>(phase_mix.next() >> 11) *
                        0x1.0p-53 * spec.lag_epoch_s;
   const auto epoch = static_cast<std::uint64_t>(
       (now.seconds() + phase) / spec.lag_epoch_s);
+  if (epoch == partner.lag_epoch) return partner.lag;
 
   // Deterministic lognormal draw keyed on (seed, peer, epoch).
   util::SplitMix64 mix{config_.seed ^ (static_cast<std::uint64_t>(id)
@@ -121,7 +123,10 @@ double Swarm::bg_lag_s(PeerId id, util::SimTime now) const {
   const double normal = std::sqrt(-2.0 * std::log(u1)) *
                         std::cos(2.0 * 3.14159265358979323846 * u2);
   const double sample = std::exp(spec.lag_mu + spec.lag_sigma * normal);
-  return spec.lag_floor_s + sample * lag_scale_[id];
+  partner.lag_epoch = epoch;
+  partner.lag =
+      SimTime::from_seconds(spec.lag_floor_s + sample * lag_scale_[id]);
+  return partner.lag;
 }
 
 bool Swarm::peer_online(PeerId id, util::SimTime now) const {
@@ -271,8 +276,9 @@ void Swarm::rejoin_probe(std::size_t probe_index) {
   schedule_probe_crash(probe_index);
 }
 
-bool Swarm::peer_has_chunk(PeerId id, ChunkIndex chunk) const {
+bool Swarm::peer_has_chunk(Partner& partner, ChunkIndex chunk) {
   if (chunk < 0) return false;
+  const PeerId id = partner.id;
   const std::uint8_t kind = peer_kind_[id];
   if (kind == kSource) return chunk <= source_newest();
   if (kind == kProbe) {
@@ -282,8 +288,8 @@ bool Swarm::peer_has_chunk(PeerId id, ChunkIndex chunk) const {
   // Background peer: the chunk reached it its current lag after the
   // source finished emitting it.
   const SimTime now = engine_.now();
-  const SimTime available = chunk_interval_ * (chunk + 1) +
-                            SimTime::from_seconds(bg_lag_s(id, now));
+  const SimTime available =
+      chunk_interval_ * (chunk + 1) + bg_lag(partner, now);
   return now >= available;
 }
 
@@ -707,7 +713,7 @@ void Swarm::schedule_requests(ProbeState& ps) {
           (!peer_online(partner.id, now) || ps.blacklisted(partner.id))) {
         continue;
       }
-      if (!peer_has_chunk(partner.id, c)) continue;
+      if (!peer_has_chunk(partner, c)) continue;
       const PeerInfo& other = population_.peer(partner.id);
       Candidate candidate{partner.id, partner.belief_mbps,
                           other.ep.as == self.ep.as,
@@ -760,7 +766,7 @@ void Swarm::request_chunk(ProbeState& ps, Partner& partner, ChunkIndex chunk) {
   spec.link_key = ps.id;  // outage schedule keyed on the receiver link
   const sim::TrainResult train = sim::transmit_train(
       spec, other.access, up_[partner.id], self.access, down_[ps.id], rev,
-      rng_, channel_for(partner.id, ps.id));
+      rng_, channel_for(partner.id, ps.id), train_metrics_);
 
   sink.video_train_rx(other.ep.addr, train.arrivals, stream.packet_bytes,
                       sim::ttl_after(rev.hops));
@@ -948,7 +954,7 @@ void Swarm::requester_loop(ProbeState& ps, std::shared_ptr<Requester> req) {
   spec.link_key = req->id;
   const sim::TrainResult train = sim::transmit_train(
       spec, self.access, up_[ps.id], other.access, down_[req->id], rev, rng_,
-      channel_for(ps.id, req->id));
+      channel_for(ps.id, req->id), train_metrics_);
   sink.video_train_tx(other.ep.addr, train.departures, stream.packet_bytes);
   ++counters_.chunks_uploaded;
 }
@@ -1041,6 +1047,7 @@ void Swarm::run() {
   if (ran_) throw std::logic_error("Swarm::run called twice");
   ran_ = true;
   PEERSCOPE_SPAN("swarm_run");
+  train_metrics_ = sim::TrainMetrics::resolve();
   engine_.set_cancel(config_.cancel);
   engine_.set_progress(config_.progress);
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -27,6 +28,7 @@
 #include "sim/engine.hpp"
 #include "sim/impairment.hpp"
 #include "sim/link.hpp"
+#include "sim/train.hpp"
 #include "trace/sink.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
@@ -127,6 +129,10 @@ class Swarm {
     int inflight = 0;
     /// Consecutive request timeouts; reset on any completed chunk.
     int consecutive_failures = 0;
+    /// bg_lag memo: the lag drawn for `lag_epoch` (no epoch yet at
+    /// uint64 max).
+    std::uint64_t lag_epoch = std::numeric_limits<std::uint64_t>::max();
+    util::SimTime lag{0};
   };
 
   struct Requester {
@@ -233,8 +239,10 @@ class Swarm {
 
   // --- helpers ---
   [[nodiscard]] ChunkIndex source_newest() const;
-  [[nodiscard]] double bg_lag_s(PeerId id, util::SimTime now) const;
-  [[nodiscard]] bool peer_has_chunk(PeerId id, ChunkIndex chunk) const;
+  /// A background partner's current lag, drawn once per (peer, lag
+  /// epoch) and memoised on the partner.
+  [[nodiscard]] util::SimTime bg_lag(Partner& partner, util::SimTime now);
+  [[nodiscard]] bool peer_has_chunk(Partner& partner, ChunkIndex chunk);
   [[nodiscard]] PeerId sample_peer(const ProbeState& ps, double as_bias);
   /// Discovery handshake; false when it was refused (offline peer,
   /// NAT/firewall failure, blocked traversal).
@@ -296,6 +304,8 @@ class Swarm {
   };
   SampleState sample_;
   util::SimTime chunk_interval_{0};
+  /// transmit_train's metric handles, resolved when run() starts.
+  sim::TrainMetrics train_metrics_;
   bool ran_ = false;
 };
 

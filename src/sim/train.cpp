@@ -8,22 +8,33 @@
 
 namespace peerscope::sim {
 
+TrainMetrics TrainMetrics::resolve() {
+  return {obs::counter("sim.trains_expanded"),
+          obs::counter("sim.packets_generated"),
+          obs::counter("sim.packets_lost"),
+          obs::counter("sim.packets_dropped_outage"),
+          obs::counter("sim.packets_reordered"),
+          obs::counter("sim.packets_duplicated"),
+          obs::histogram("sim.train_expand_ns", obs::timing_bounds(), true)};
+}
+
 TrainResult transmit_train(const TrainSpec& spec,
                            const net::AccessLink& sender,
                            LinkCursor& sender_up,
                            const net::AccessLink& receiver,
                            LinkCursor& receiver_down,
                            const net::PathInfo& path, util::Rng& rng,
-                           GilbertElliott* channel) {
+                           GilbertElliott* channel,
+                           const TrainMetrics& metrics) {
   if (spec.packet_count <= 0 || spec.packet_bytes <= 0) {
     throw std::invalid_argument("transmit_train: empty train");
   }
 
   // Local tallies, published once per train: the per-packet loop stays
   // free of shared writes even with metrics on.
-  const bool metrics = obs::enabled();
-  const auto wall_start = metrics ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
+  const bool timed = static_cast<bool>(metrics);
+  const auto wall_start = timed ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
   std::uint64_t lost = 0, outage_dropped = 0, reordered = 0, duplicated = 0;
 
   const util::SimTime up_ser = sender.up_tx_time(spec.packet_bytes);
@@ -105,18 +116,18 @@ TrainResult transmit_train(const TrainSpec& spec,
     std::sort(result.arrivals.begin(), result.arrivals.end());
   }
   result.sender_done = release;
-  if (metrics) {
-    obs::counter("sim.trains_expanded").add();
-    obs::counter("sim.packets_generated")
-        .add(static_cast<std::uint64_t>(spec.packet_count));
-    obs::counter("sim.packets_lost").add(lost);
-    obs::counter("sim.packets_dropped_outage").add(outage_dropped);
-    obs::counter("sim.packets_reordered").add(reordered);
-    obs::counter("sim.packets_duplicated").add(duplicated);
-    obs::histogram("sim.train_expand_ns", obs::timing_bounds(), true)
-        .observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - wall_start)
-                     .count());
+  if (timed) {
+    metrics.expand_ns.observe(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - wall_start)
+            .count());
+    metrics.trains_expanded.add();
+    metrics.packets_generated.add(
+        static_cast<std::uint64_t>(spec.packet_count));
+    metrics.packets_lost.add(lost);
+    metrics.packets_dropped_outage.add(outage_dropped);
+    metrics.packets_reordered.add(reordered);
+    metrics.packets_duplicated.add(duplicated);
   }
   return result;
 }

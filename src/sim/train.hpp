@@ -14,6 +14,7 @@
 
 #include "net/access.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "sim/impairment.hpp"
 #include "sim/link.hpp"
 #include "util/rng.hpp"
@@ -53,11 +54,30 @@ struct TrainResult {
   }
 };
 
+/// The metric handles transmit_train publishes to. Resolving takes the
+/// registry mutex once per handle, so a swarm resolves them once per
+/// run; a default-constructed set is null and records nothing.
+struct TrainMetrics {
+  obs::Counter trains_expanded;
+  obs::Counter packets_generated;
+  obs::Counter packets_lost;
+  obs::Counter packets_dropped_outage;
+  obs::Counter packets_reordered;
+  obs::Counter packets_duplicated;
+  /// Wall time of the expansion alone, publishing excluded.
+  obs::Histogram expand_ns;
+
+  /// Handles on the installed registry; null when none is installed.
+  [[nodiscard]] static TrainMetrics resolve();
+  explicit operator bool() const { return static_cast<bool>(expand_ns); }
+};
+
 /// Simulates one burst from `sender` to `receiver` over `path`,
 /// advancing both link cursors. Deterministic given the RNG state.
 /// `channel` carries Gilbert–Elliott burst state across trains on the
 /// same directed pair; pass nullptr for a memoryless channel (always
-/// correct when impairment.loss_burst <= 1).
+/// correct when impairment.loss_burst <= 1). Null `metrics` record
+/// nothing.
 [[nodiscard]] TrainResult transmit_train(const TrainSpec& spec,
                                          const net::AccessLink& sender,
                                          LinkCursor& sender_up,
@@ -65,6 +85,7 @@ struct TrainResult {
                                          LinkCursor& receiver_down,
                                          const net::PathInfo& path,
                                          util::Rng& rng,
-                                         GilbertElliott* channel = nullptr);
+                                         GilbertElliott* channel = nullptr,
+                                         const TrainMetrics& metrics = {});
 
 }  // namespace peerscope::sim

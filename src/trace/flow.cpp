@@ -31,75 +31,98 @@ std::uint8_t FlowStats::rx_ttl_mode() const {
   return best;
 }
 
-void FlowTable::add(const PacketRecord& record) {
-  auto [it, inserted] = flows_.try_emplace(record.remote);
+namespace {
+
+/// Misra–Gries update with `n` copies of `ttl`, equal to `n` single
+/// updates. A live slot holding `ttl` takes all of them. Otherwise each
+/// copy that finds no free slot decrements every slot, so the slots
+/// give up min(smallest count, n) together; a decrement can free a
+/// slot mid-run, and the copies left over land in the first free slot.
+void add_ttl(FlowStats& f, std::uint8_t ttl, std::int32_t n) {
+  auto& counts = f.ttl_counts;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] > 0 && f.ttl_candidates[i] == ttl) {
+      counts[i] += n;
+      return;
+    }
+  }
+  const std::int32_t spent =
+      std::min(*std::min_element(counts.begin(), counts.end()), n);
+  for (auto& count : counts) count -= spent;
+  if (spent == n) return;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) {
+      f.ttl_candidates[i] = ttl;
+      counts[i] = n - spent;
+      return;
+    }
+  }
+}
+
+/// One RX video inter-packet gap: the minimum and the sorted
+/// k-smallest array.
+void add_ipg(FlowStats& f, std::int64_t gap) {
+  if (gap < f.min_rx_video_ipg_ns) f.min_rx_video_ipg_ns = gap;
+  ++f.rx_ipg_samples;
+  auto& smallest = f.smallest_rx_ipgs;
+  if (gap < smallest.back()) {
+    smallest.back() = gap;
+    for (std::size_t i = smallest.size() - 1;
+         i > 0 && smallest[i] < smallest[i - 1]; --i) {
+      std::swap(smallest[i], smallest[i - 1]);
+    }
+  }
+}
+
+}  // namespace
+
+void FlowTable::add_run(net::Ipv4Addr remote, Direction dir,
+                        sim::PacketKind kind, std::int32_t bytes_per_packet,
+                        std::uint8_t ttl, std::span<const util::SimTime> ts) {
+  if (ts.empty()) return;
+  auto [it, inserted] = flows_.try_emplace(remote);
   FlowStats& f = it->second;
-  if (inserted) f.remote = record.remote;
+  if (inserted) f.remote = remote;
 
-  f.first_ts = std::min(f.first_ts, record.ts);
-  f.last_ts = std::max(f.last_ts, record.ts);
+  const auto [lo, hi] = std::minmax_element(ts.begin(), ts.end());
+  f.first_ts = std::min(f.first_ts, *lo);
+  f.last_ts = std::max(f.last_ts, *hi);
 
-  const auto bytes = static_cast<std::uint64_t>(record.bytes);
-  if (record.dir == Direction::kRx) {
-    ++f.rx_pkts;
-    f.rx_bytes += bytes;
-    ++total_rx_pkts_;
-    total_rx_bytes_ += bytes;
-    f.rx_ttl = record.ttl;
-    f.saw_rx = true;
-    // Misra–Gries update for the TTL mode.
-    {
-      bool placed = false;
-      for (std::size_t i = 0; i < f.ttl_candidates.size() && !placed; ++i) {
-        if (f.ttl_counts[i] > 0 && f.ttl_candidates[i] == record.ttl) {
-          ++f.ttl_counts[i];
-          placed = true;
-        }
-      }
-      for (std::size_t i = 0; i < f.ttl_candidates.size() && !placed; ++i) {
-        if (f.ttl_counts[i] == 0) {
-          f.ttl_candidates[i] = record.ttl;
-          f.ttl_counts[i] = 1;
-          placed = true;
-        }
-      }
-      if (!placed) {
-        for (auto& count : f.ttl_counts) --count;
-      }
-    }
-    if (record.kind == sim::PacketKind::kVideo) {
-      ++f.rx_video_pkts;
-      f.rx_video_bytes += bytes;
-      auto [lit, first] = last_rx_video_.try_emplace(record.remote, record.ts);
-      if (!first) {
-        const std::int64_t gap = record.ts.ns() - lit->second.ns();
-        if (gap >= 0) {
-          if (gap < f.min_rx_video_ipg_ns) {
-            f.min_rx_video_ipg_ns = gap;
-          }
-          ++f.rx_ipg_samples;
-          // Insertion into the sorted k-smallest array.
-          auto& smallest = f.smallest_rx_ipgs;
-          if (gap < smallest.back()) {
-            smallest.back() = gap;
-            for (std::size_t i = smallest.size() - 1;
-                 i > 0 && smallest[i] < smallest[i - 1]; --i) {
-              std::swap(smallest[i], smallest[i - 1]);
-            }
-          }
-        }
-        lit->second = record.ts;
-      }
-    }
-  } else {
-    ++f.tx_pkts;
+  const auto n = static_cast<std::uint64_t>(ts.size());
+  const std::uint64_t bytes = n * static_cast<std::uint64_t>(bytes_per_packet);
+  const bool video = kind == sim::PacketKind::kVideo;
+  if (dir == Direction::kTx) {
+    f.tx_pkts += n;
     f.tx_bytes += bytes;
-    ++total_tx_pkts_;
+    total_tx_pkts_ += n;
     total_tx_bytes_ += bytes;
-    if (record.kind == sim::PacketKind::kVideo) {
-      ++f.tx_video_pkts;
+    if (video) {
+      f.tx_video_pkts += n;
       f.tx_video_bytes += bytes;
     }
+    return;
+  }
+
+  f.rx_pkts += n;
+  f.rx_bytes += bytes;
+  total_rx_pkts_ += n;
+  total_rx_bytes_ += bytes;
+  f.rx_ttl = ttl;
+  f.saw_rx = true;
+  add_ttl(f, ttl, static_cast<std::int32_t>(ts.size()));
+  if (!video) return;
+
+  // Every RX video packet but the flow's first closes one gap. A gap
+  // that steps back in time (a reordered capture record) is no sample,
+  // but it still moves the left edge.
+  std::size_t i = 0;
+  if (f.rx_video_pkts == 0) f.last_rx_video_ts = ts[i++];
+  f.rx_video_pkts += n;
+  f.rx_video_bytes += bytes;
+  for (; i < ts.size(); ++i) {
+    const std::int64_t gap = ts[i].ns() - f.last_rx_video_ts.ns();
+    f.last_rx_video_ts = ts[i];
+    if (gap >= 0) add_ipg(f, gap);
   }
 }
 

@@ -6,10 +6,11 @@
 // byte/peer preference counters.
 //
 // A FlowTable can be built two ways, with identical results:
-//   - online, by feeding records as the simulation emits them
-//     (memory stays O(#peers), used by the large benches);
+//   - online, by feeding packets as the simulation emits them, one
+//     run per video train (memory stays O(#peers); the swarm's
+//     ProbeSinks);
 //   - offline, from a stored/loaded record vector sorted by time
-//     (the faithful "analyse the pcap" path, used by examples/tests).
+//     (the faithful "analyse the pcap" path; exp::load_capture).
 #pragma once
 
 #include <array>
@@ -36,8 +37,6 @@ namespace peerscope::trace {
     int discard);
 
 struct FlowStats {
-  net::Ipv4Addr remote;
-
   std::uint64_t rx_pkts = 0;
   std::uint64_t rx_bytes = 0;
   std::uint64_t tx_pkts = 0;
@@ -64,12 +63,18 @@ struct FlowStats {
   /// Total RX video IPG samples observed (rx_video_pkts - 1 per
   /// contiguous run).
   std::uint64_t rx_ipg_samples = 0;
+  /// Left edge of the next RX video IPG: the last received video
+  /// packet's timestamp. Valid once rx_video_pkts > 0.
+  util::SimTime last_rx_video_ts = util::SimTime::zero();
   /// Robust min IPG: see robust_min_ipg(). With discard <= 0 this is
   /// exactly min_rx_video_ipg_ns.
   [[nodiscard]] std::int64_t min_ipg_after_discard(int discard) const {
     if (discard <= 0) return min_rx_video_ipg_ns;
     return robust_min_ipg(smallest_rx_ipgs, rx_ipg_samples, discard);
   }
+
+  // `remote` sits with the TTL bytes so the layout has no padding hole.
+  net::Ipv4Addr remote;
 
   /// TTL observed on received packets (stable per path in the model;
   /// the last observation is kept).
@@ -100,10 +105,22 @@ class FlowTable {
 
   [[nodiscard]] net::Ipv4Addr probe() const { return probe_; }
 
-  /// Online update with one record. Records for the same remote must
-  /// arrive in non-decreasing timestamp order for the IPG tracking to
-  /// match the offline path (the simulator guarantees this per remote).
-  void add(const PacketRecord& record);
+  /// Online update with a run of packets that share one remote,
+  /// direction, kind, size and TTL (a video train, or one packet),
+  /// stamped `ts` in capture order. Leaves the table exactly as one
+  /// add() per packet would. Packets from the same remote must arrive
+  /// in non-decreasing timestamp order for the IPG tracking to match
+  /// the offline path (the simulator guarantees this per remote unless
+  /// capture reordering is on).
+  void add_run(net::Ipv4Addr remote, Direction dir, sim::PacketKind kind,
+               std::int32_t bytes_per_packet, std::uint8_t ttl,
+               std::span<const util::SimTime> ts);
+
+  /// Online update with one record: a run of one.
+  void add(const PacketRecord& record) {
+    add_run(record.remote, record.dir, record.kind, record.bytes, record.ttl,
+            {&record.ts, 1});
+  }
 
   /// Offline build: sorts a copy of `records` by time and feeds it.
   [[nodiscard]] static FlowTable from_records(
@@ -126,8 +143,6 @@ class FlowTable {
  private:
   net::Ipv4Addr probe_;
   std::unordered_map<net::Ipv4Addr, FlowStats> flows_;
-  // Last RX video timestamp per remote, for the online IPG update.
-  std::unordered_map<net::Ipv4Addr, util::SimTime> last_rx_video_;
   std::uint64_t total_rx_bytes_ = 0;
   std::uint64_t total_tx_bytes_ = 0;
   std::uint64_t total_rx_pkts_ = 0;

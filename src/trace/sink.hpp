@@ -24,41 +24,32 @@ class ProbeSink {
 
   [[nodiscard]] net::Ipv4Addr probe() const { return probe_; }
 
-  void on_packet(const PacketRecord& record) {
-    flows_.add(record);
-    if (keep_records_) records_.push_back(record);
-  }
-
-  /// A received video burst: one RX record per packet arrival.
+  /// A received video burst: one RX packet per arrival.
   void video_train_rx(net::Ipv4Addr remote,
                       std::span<const util::SimTime> arrivals,
                       std::int32_t bytes_per_packet, std::uint8_t ttl) {
-    for (const auto ts : arrivals) {
-      on_packet({ts, remote, bytes_per_packet, Direction::kRx,
-                 sim::PacketKind::kVideo, ttl});
-    }
+    capture(remote, Direction::kRx, sim::PacketKind::kVideo,
+            bytes_per_packet, ttl, arrivals);
   }
 
-  /// A transmitted video burst: one TX record per packet departure.
+  /// A transmitted video burst: one TX packet per departure.
   void video_train_tx(net::Ipv4Addr remote,
                       std::span<const util::SimTime> departures,
                       std::int32_t bytes_per_packet) {
-    for (const auto ts : departures) {
-      on_packet({ts, remote, bytes_per_packet, Direction::kTx,
-                 sim::PacketKind::kVideo, sim::kInitialTtl});
-    }
+    capture(remote, Direction::kTx, sim::PacketKind::kVideo,
+            bytes_per_packet, sim::kInitialTtl, departures);
   }
 
   void signaling_rx(net::Ipv4Addr remote, util::SimTime ts,
                     std::int32_t bytes, std::uint8_t ttl) {
-    on_packet({ts, remote, bytes, Direction::kRx,
-               sim::PacketKind::kSignaling, ttl});
+    capture(remote, Direction::kRx, sim::PacketKind::kSignaling, bytes, ttl,
+            {&ts, 1});
   }
 
   void signaling_tx(net::Ipv4Addr remote, util::SimTime ts,
                     std::int32_t bytes) {
-    on_packet({ts, remote, bytes, Direction::kTx,
-               sim::PacketKind::kSignaling, sim::kInitialTtl});
+    capture(remote, Direction::kTx, sim::PacketKind::kSignaling, bytes,
+            sim::kInitialTtl, {&ts, 1});
   }
 
   [[nodiscard]] const FlowTable& flows() const { return flows_; }
@@ -71,6 +62,18 @@ class ProbeSink {
   void sort_records();
 
  private:
+  /// One FlowTable update per run; with keep_records, one record per
+  /// packet in capture order.
+  void capture(net::Ipv4Addr remote, Direction dir, sim::PacketKind kind,
+               std::int32_t bytes, std::uint8_t ttl,
+               std::span<const util::SimTime> ts) {
+    flows_.add_run(remote, dir, kind, bytes, ttl, ts);
+    if (!keep_records_) return;
+    for (const auto t : ts) {
+      records_.push_back({t, remote, bytes, dir, kind, ttl});
+    }
+  }
+
   net::Ipv4Addr probe_;
   bool keep_records_;
   FlowTable flows_;

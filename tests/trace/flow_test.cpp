@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "support/flow_equal.hpp"
 #include "util/rng.hpp"
 
 namespace peerscope::trace {
@@ -86,6 +91,22 @@ TEST(FlowTable, IpgIsPerRemote) {
   EXPECT_FALSE(table.find(kPeerB)->has_min_ipg());
 }
 
+TEST(FlowTable, NegativeGapIsNoSampleButMovesTheLeftEdge) {
+  // A reordered capture record steps back in time: its gap is not a
+  // sample, and the next gap is measured from it.
+  FlowTable table{kProbe};
+  const std::vector<SimTime> train{SimTime{1000}, SimTime{3000}};
+  table.add_run(kPeerA, Direction::kRx, sim::PacketKind::kVideo, 1250, 110,
+                train);
+  table.add(video_rx(kPeerA, 2000));  // gap -1000
+  table.add(video_rx(kPeerA, 2500));  // gap 500 from 2000
+  const FlowStats* a = table.find(kPeerA);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->rx_ipg_samples, 2u);
+  EXPECT_EQ(a->min_rx_video_ipg_ns, 500);
+  EXPECT_EQ(a->last_rx_video_ts, SimTime{2500});
+}
+
 TEST(FlowTable, TracksRxTtlAndTimestamps) {
   FlowTable table{kProbe};
   table.add(video_rx(kPeerA, 5000, 107));
@@ -114,47 +135,139 @@ TEST(FlowTable, Totals) {
   EXPECT_EQ(table.total_tx_bytes(), 120u);
 }
 
-TEST(FlowTable, OfflineEqualsOnline) {
-  // Property: feeding shuffled records through from_records (which
-  // sorts) produces identical aggregates to in-order online feeding.
-  util::Rng rng{99};
-  std::vector<PacketRecord> records;
+/// One add_run() call: a run of packets sharing remote, direction,
+/// kind, size and TTL.
+struct PacketRun {
+  Ipv4Addr remote;
+  Direction dir = Direction::kRx;
+  sim::PacketKind kind = sim::PacketKind::kVideo;
+  std::int32_t bytes = 0;
+  std::uint8_t ttl = 0;
+  std::vector<SimTime> ts;
+};
+
+/// Random runs of 1-20 packets over three remotes. TTLs come from five
+/// values, so all three Misra–Gries slots fill and a long run's
+/// decrements free slots mid-run. With `step_back`, some runs start
+/// before the previous run ended, giving negative gaps.
+std::vector<PacketRun> random_runs(util::Rng& rng, bool step_back) {
+  const Ipv4Addr remotes[] = {kPeerA, kPeerB, Ipv4Addr{20, 0, 0, 3}};
+  const std::uint8_t ttls[] = {100, 101, 102, 103, 104};
+  std::vector<PacketRun> runs;
   std::int64_t ts = 0;
-  for (int i = 0; i < 2000; ++i) {
-    ts += static_cast<std::int64_t>(rng.below(500'000)) + 1;
-    const Ipv4Addr remote = rng.chance(0.5) ? kPeerA : kPeerB;
-    PacketRecord r;
-    r.ts = SimTime{ts};
-    r.remote = remote;
-    r.bytes = rng.chance(0.8) ? 1250 : 120;
-    r.kind = r.bytes == 1250 ? sim::PacketKind::kVideo
-                             : sim::PacketKind::kSignaling;
-    r.dir = rng.chance(0.7) ? Direction::kRx : Direction::kTx;
-    r.ttl = static_cast<std::uint8_t>(100 + rng.below(20));
-    records.push_back(r);
+  for (int i = 0; i < 1500; ++i) {
+    PacketRun run;
+    run.remote = remotes[rng.below(3)];
+    run.dir = rng.chance(0.7) ? Direction::kRx : Direction::kTx;
+    const bool video = rng.chance(0.8);
+    run.kind = video ? sim::PacketKind::kVideo : sim::PacketKind::kSignaling;
+    run.bytes = video ? 1250 : 120;
+    // Skewed towards the first TTL so the mode is well defined.
+    run.ttl = rng.chance(0.5) ? ttls[0] : ttls[rng.below(5)];
+    if (step_back && rng.chance(0.2)) {
+      ts -= static_cast<std::int64_t>(rng.below(2'000'000));
+    }
+    const auto length = 1 + rng.below(20);
+    for (std::uint64_t k = 0; k < length; ++k) {
+      ts += static_cast<std::int64_t>(rng.below(500'000)) + 1;
+      run.ts.push_back(SimTime{ts});
+    }
+    runs.push_back(std::move(run));
   }
+  return runs;
+}
 
-  FlowTable online{kProbe};
-  for (const auto& r : records) online.add(r);
+/// The per-packet Misra–Gries update over RX TTLs, written out apart
+/// from FlowTable: the reference the weighted update must match.
+struct TtlSketch {
+  std::array<std::uint8_t, 3> candidates{};
+  std::array<std::int32_t, 3> counts{};
 
-  std::vector<PacketRecord> shuffled = records;
-  std::shuffle(shuffled.begin(), shuffled.end(), rng);
-  const FlowTable offline = FlowTable::from_records(kProbe, shuffled);
-
-  ASSERT_EQ(offline.flow_count(), online.flow_count());
-  for (const auto& [remote, off] : offline.flows()) {
-    const FlowStats* on = online.find(remote);
-    ASSERT_NE(on, nullptr);
-    EXPECT_EQ(off.rx_pkts, on->rx_pkts);
-    EXPECT_EQ(off.rx_bytes, on->rx_bytes);
-    EXPECT_EQ(off.tx_pkts, on->tx_pkts);
-    EXPECT_EQ(off.rx_video_pkts, on->rx_video_pkts);
-    EXPECT_EQ(off.min_rx_video_ipg_ns, on->min_rx_video_ipg_ns);
-    EXPECT_EQ(off.first_ts, on->first_ts);
-    EXPECT_EQ(off.last_ts, on->last_ts);
+  void add(std::uint8_t ttl) {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] > 0 && candidates[i] == ttl) {
+        ++counts[i];
+        return;
+      }
+    }
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] == 0) {
+        candidates[i] = ttl;
+        counts[i] = 1;
+        return;
+      }
+    }
+    for (auto& count : counts) --count;
   }
-  EXPECT_EQ(offline.total_rx_bytes(), online.total_rx_bytes());
-  EXPECT_EQ(offline.total_tx_bytes(), online.total_tx_bytes());
+};
+
+TEST(FlowTable, OfflineEqualsOnline) {
+  // Property: runs fed through add_run leave every field, the totals
+  // and the iteration order exactly as one add() per packet does, and
+  // the TTL sketch as the per-packet reference does. On time-ordered
+  // input, the shuffled records rebuilt by from_records (which sorts)
+  // agree too.
+  for (const bool step_back : {false, true}) {
+    SCOPED_TRACE(step_back ? "runs step back" : "time-ordered runs");
+    util::Rng rng{step_back ? 7u : 99u};
+    FlowTable by_run{kProbe};
+    FlowTable by_record{kProbe};
+    std::unordered_map<Ipv4Addr, TtlSketch> sketches;
+    std::vector<PacketRecord> records;
+    for (const PacketRun& run : random_runs(rng, step_back)) {
+      by_run.add_run(run.remote, run.dir, run.kind, run.bytes, run.ttl,
+                     run.ts);
+      for (const SimTime ts : run.ts) {
+        records.push_back({ts, run.remote, run.bytes, run.dir, run.kind,
+                           run.ttl});
+        by_record.add(records.back());
+        if (run.dir == Direction::kRx) sketches[run.remote].add(run.ttl);
+      }
+    }
+    test::expect_same_flows(by_record, by_run);
+    test::expect_same_order(by_record, by_run);
+    for (const auto& [remote, sketch] : sketches) {
+      const FlowStats* flow = by_run.find(remote);
+      ASSERT_NE(flow, nullptr);
+      EXPECT_EQ(flow->ttl_candidates, sketch.candidates);
+      EXPECT_EQ(flow->ttl_counts, sketch.counts);
+    }
+    if (step_back) continue;
+
+    std::shuffle(records.begin(), records.end(), rng);
+    test::expect_same_flows(by_record,
+                            FlowTable::from_records(kProbe, records));
+  }
+}
+
+TEST(FlowTable, EmptyRunAddsNoFlow) {
+  FlowTable table{kProbe};
+  table.add_run(kPeerA, Direction::kRx, sim::PacketKind::kVideo, 1250, 110,
+                {});
+  EXPECT_EQ(table.flow_count(), 0u);
+}
+
+TEST(FlowTable, WeightedTtlUpdateFreesASlotMidRun) {
+  // Slots hold 100:3, 101:1, 102:2. A run of four 103s spends one copy
+  // on the decrement that frees 101's slot, and lands the other three
+  // there; 100 and 102 keep 2 and 1.
+  FlowTable table{kProbe};
+  const std::vector<SimTime> one{SimTime{1}};
+  const std::vector<SimTime> four(4, SimTime{2});
+  for (const auto& [ttl, n] :
+       {std::pair{100, 3}, std::pair{101, 1}, std::pair{102, 2}}) {
+    for (int i = 0; i < n; ++i) {
+      table.add_run(kPeerA, Direction::kRx, sim::PacketKind::kSignaling, 120,
+                    static_cast<std::uint8_t>(ttl), one);
+    }
+  }
+  table.add_run(kPeerA, Direction::kRx, sim::PacketKind::kSignaling, 120, 103,
+                four);
+  const FlowStats* a = table.find(kPeerA);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->ttl_candidates, (std::array<std::uint8_t, 3>{100, 103, 102}));
+  EXPECT_EQ(a->ttl_counts, (std::array<std::int32_t, 3>{2, 3, 1}));
+  EXPECT_EQ(a->rx_ttl_mode(), 103);
 }
 
 TEST(RecordOrdering, TotalOrder) {
