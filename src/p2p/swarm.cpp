@@ -178,7 +178,7 @@ void Swarm::on_request_failed(ProbeState& ps, ChunkIndex chunk, PeerId from) {
         }
       }
       if (!found) ps.blacklist_until.emplace_back(from, until);
-      ps.belief_cache[from] = it->belief_mbps;
+      retire_partner(ps, *it);
       ps.partners.erase(it);
       ++counters_.partners_blacklisted;
     }
@@ -244,9 +244,7 @@ void Swarm::crash_probe(std::size_t probe_index) {
     ps.online = false;
     ++counters_.probe_crashes;
     ++ps.tick_epoch;  // kills the scheduled tick chain
-    for (const Partner& partner : ps.partners) {
-      ps.belief_cache[partner.id] = partner.belief_mbps;
-    }
+    for (Partner& partner : ps.partners) retire_partner(ps, partner);
     ps.partners.clear();
     ps.inflight.clear();
     ps.chunk_failures.clear();
@@ -397,7 +395,8 @@ bool Swarm::contact(ProbeState& ps, PeerId target) {
     }
     if (refused) {
       for (int i = 0; i < config_.profile.signaling.handshake_packets; ++i) {
-        sink.signaling_tx(other.ep.addr, now + SimTime::millis(i), bytes);
+        sink.signaling_tx(sink.flow(other.ep.addr), now + SimTime::millis(i),
+                          bytes);
       }
       ++counters_.contact_failures;
       if (discovery_) discovery_->contact_result(ps.id, target, false);
@@ -409,17 +408,18 @@ bool Swarm::contact(ProbeState& ps, PeerId target) {
     const SimTime tx = now + SimTime::millis(i);
     const SimTime rx = tx + fwd.one_way_delay + rev.one_way_delay +
                        SimTime::millis(2) + nat_extra;
-    sink.signaling_tx(other.ep.addr, tx, bytes);
-    sink.signaling_rx(other.ep.addr, rx, bytes, sim::ttl_after(rev.hops));
+    trace::FlowStats& flow = sink.flow(other.ep.addr);
+    sink.signaling_tx(flow, tx, bytes);
+    sink.signaling_rx(flow, rx, bytes, sim::ttl_after(rev.hops));
     if (probe_slot_[target] >= 0) {
       const auto slot = static_cast<std::size_t>(probe_slot_[target]);
       trace::ProbeSink& peer_sink = *sinks_[slot];
-      peer_sink.signaling_rx(self.ep.addr,
-                             tx + fwd.one_way_delay + nat_extra, bytes,
-                             sim::ttl_after(fwd.hops));
+      trace::FlowStats& peer_flow = peer_sink.flow(self.ep.addr);
+      peer_sink.signaling_rx(peer_flow, tx + fwd.one_way_delay + nat_extra,
+                             bytes, sim::ttl_after(fwd.hops));
       peer_sink.signaling_tx(
-          self.ep.addr,
-          tx + fwd.one_way_delay + nat_extra + SimTime::millis(2), bytes);
+          peer_flow, tx + fwd.one_way_delay + nat_extra + SimTime::millis(2),
+          bytes);
       note_known(probes_[slot], ps.id);
     }
   }
@@ -553,33 +553,87 @@ void Swarm::schedule_join_retry(ProbeState& ps) {
   });
 }
 
-void Swarm::send_keepalives(ProbeState& ps) {
+Swarm::KeepaliveCapture Swarm::keepalive_capture(const ProbeState& ps,
+                                                 PeerId partner) const {
   const PeerInfo& self = population_.peer(ps.id);
+  const PeerInfo& other = population_.peer(partner);
+  const auto fwd = topo_.path(self.ep, other.ep);
+  const auto rev = topo_.path(other.ep, self.ep);
+  return {fwd.one_way_delay + rev.one_way_delay + SimTime::millis(1),
+          fwd.one_way_delay, fwd.one_way_delay + SimTime::millis(1),
+          sim::ttl_after(rev.hops), sim::ttl_after(fwd.hops)};
+}
+
+void Swarm::send_keepalives(ProbeState& ps) {
+  const net::Ipv4Addr self_addr = population_.peer(ps.id).ep.addr;
   const auto& sig = config_.profile.signaling;
   const double p_send = sig.keepalive_per_s *
                         config_.profile.sched.period.seconds();
   trace::ProbeSink& sink = *sinks_[ps.index];
   const SimTime now = engine_.now();
-  for (const Partner& partner : ps.partners) {
+  for (Partner& partner : ps.partners) {
     if (!rng_.chance(p_send)) continue;
-    const PeerInfo& other = population_.peer(partner.id);
-    const auto fwd = topo_.path(self.ep, other.ep);
-    const auto rev = topo_.path(other.ep, self.ep);
-    const SimTime rx =
-        now + fwd.one_way_delay + rev.one_way_delay + SimTime::millis(1);
-    sink.signaling_tx(other.ep.addr, now, sig.keepalive_bytes);
-    sink.signaling_rx(other.ep.addr, rx, sig.keepalive_bytes,
-                      sim::ttl_after(rev.hops));
-    if (probe_slot_[partner.id] >= 0) {
-      trace::ProbeSink& peer_sink =
-          *sinks_[static_cast<std::size_t>(probe_slot_[partner.id])];
-      peer_sink.signaling_rx(self.ep.addr, now + fwd.one_way_delay,
-                             sig.keepalive_bytes, sim::ttl_after(fwd.hops));
-      peer_sink.signaling_tx(self.ep.addr,
-                             now + fwd.one_way_delay + SimTime::millis(1),
-                             sig.keepalive_bytes);
+    // The flows are resolved here, where the first keepalive would
+    // have created them; the counts wait for flush_keepalives.
+    const std::int32_t slot = probe_slot_[partner.id];
+    if (partner.flow == nullptr) {
+      partner.flow = &sink.flow(population_.peer(partner.id).ep.addr);
+    }
+    if (slot >= 0 && partner.peer_flow == nullptr) {
+      partner.peer_flow =
+          &sinks_[static_cast<std::size_t>(slot)]->flow(self_addr);
+    }
+    if (partner.keepalives++ == 0) partner.keepalive_first = now;
+    partner.keepalive_last = now;
+    if (!sink.keeps_records()) continue;
+
+    // Records are stored at send time, in capture order.
+    const KeepaliveCapture at = keepalive_capture(ps, partner.id);
+    const auto bytes = sig.keepalive_bytes;
+    sink.record_signaling(*partner.flow, trace::Direction::kTx, now, bytes,
+                          sim::kInitialTtl);
+    sink.record_signaling(*partner.flow, trace::Direction::kRx,
+                          now + at.probe_rx, bytes, at.probe_ttl);
+    if (slot >= 0) {
+      trace::ProbeSink& peer_sink = *sinks_[static_cast<std::size_t>(slot)];
+      peer_sink.record_signaling(*partner.peer_flow, trace::Direction::kRx,
+                                 now + at.partner_rx, bytes, at.partner_ttl);
+      peer_sink.record_signaling(*partner.peer_flow, trace::Direction::kTx,
+                                 now + at.partner_tx, bytes, sim::kInitialTtl);
     }
   }
+}
+
+void Swarm::flush_keepalives(const ProbeState& ps, Partner& partner) {
+  const std::uint64_t n = partner.keepalives;
+  if (n == 0) return;
+  partner.keepalives = 0;
+  // Every stamp is its send time plus a fixed offset, so the first and
+  // last sends give each direction's exact minimum and maximum.
+  const KeepaliveCapture at = keepalive_capture(ps, partner.id);
+  const auto bytes = config_.profile.signaling.keepalive_bytes;
+  const SimTime first = partner.keepalive_first;
+  const SimTime last = partner.keepalive_last;
+  trace::ProbeSink& sink = *sinks_[ps.index];
+  sink.count_signaling(*partner.flow, trace::Direction::kTx, bytes,
+                       sim::kInitialTtl, n, first, last);
+  sink.count_signaling(*partner.flow, trace::Direction::kRx, bytes,
+                       at.probe_ttl, n, first + at.probe_rx,
+                       last + at.probe_rx);
+  const std::int32_t slot = probe_slot_[partner.id];
+  if (slot < 0) return;
+  trace::ProbeSink& peer_sink = *sinks_[static_cast<std::size_t>(slot)];
+  peer_sink.count_signaling(*partner.peer_flow, trace::Direction::kRx, bytes,
+                            at.partner_ttl, n, first + at.partner_rx,
+                            last + at.partner_rx);
+  peer_sink.count_signaling(*partner.peer_flow, trace::Direction::kTx, bytes,
+                            sim::kInitialTtl, n, first + at.partner_tx,
+                            last + at.partner_tx);
+}
+
+void Swarm::retire_partner(ProbeState& ps, Partner& partner) {
+  ps.belief_cache[partner.id] = partner.belief_mbps;
+  flush_keepalives(ps, partner);
 }
 
 void Swarm::maintain_partners(ProbeState& ps) {
@@ -608,7 +662,7 @@ void Swarm::maintain_partners(ProbeState& ps) {
         ++it;
         continue;
       }
-      ps.belief_cache[it->id] = it->belief_mbps;
+      retire_partner(ps, *it);
       it = ps.partners.erase(it);
       ++dropped;
     }
@@ -617,7 +671,7 @@ void Swarm::maintain_partners(ProbeState& ps) {
   for (int k = 0; k < sched.random_drops && !ps.partners.empty(); ++k) {
     const std::size_t victim = rng_.below(ps.partners.size());
     if (ps.partners[victim].inflight > 0) continue;
-    ps.belief_cache[ps.partners[victim].id] = ps.partners[victim].belief_mbps;
+    retire_partner(ps, ps.partners[victim]);
     ps.partners.erase(ps.partners.begin() +
                       static_cast<std::ptrdiff_t>(victim));
   }
@@ -744,7 +798,9 @@ void Swarm::request_chunk(ProbeState& ps, Partner& partner, ChunkIndex chunk) {
   const SimTime now = engine_.now();
   trace::ProbeSink& sink = *sinks_[ps.index];
 
-  sink.signaling_tx(other.ep.addr, now, config_.profile.signaling.request_bytes);
+  if (partner.flow == nullptr) partner.flow = &sink.flow(other.ep.addr);
+  sink.signaling_tx(*partner.flow, now,
+                    config_.profile.signaling.request_bytes);
 
   if (faults_active_ && !peer_online(partner.id, now)) {
     // Dead request: the partner crashed or flapped offline since it was
@@ -768,15 +824,18 @@ void Swarm::request_chunk(ProbeState& ps, Partner& partner, ChunkIndex chunk) {
       spec, other.access, up_[partner.id], self.access, down_[ps.id], rev,
       rng_, channel_for(partner.id, ps.id), train_metrics_);
 
-  sink.video_train_rx(other.ep.addr, train.arrivals, stream.packet_bytes,
+  sink.video_train_rx(*partner.flow, train.arrivals, stream.packet_bytes,
                       sim::ttl_after(rev.hops));
   if (probe_slot_[partner.id] >= 0) {
     trace::ProbeSink& peer_sink =
         *sinks_[static_cast<std::size_t>(probe_slot_[partner.id])];
-    peer_sink.signaling_rx(self.ep.addr, now + fwd.one_way_delay,
+    if (partner.peer_flow == nullptr) {
+      partner.peer_flow = &peer_sink.flow(self.ep.addr);
+    }
+    peer_sink.signaling_rx(*partner.peer_flow, now + fwd.one_way_delay,
                            config_.profile.signaling.request_bytes,
                            sim::ttl_after(fwd.hops));
-    peer_sink.video_train_tx(self.ep.addr, train.departures,
+    peer_sink.video_train_tx(*partner.peer_flow, train.departures,
                              stream.packet_bytes);
   }
 
@@ -943,7 +1002,8 @@ void Swarm::requester_loop(ProbeState& ps, std::shared_ptr<Requester> req) {
   const auto fwd = topo_.path(other.ep, self.ep);  // request direction
   const auto rev = topo_.path(self.ep, other.ep);  // video direction
   trace::ProbeSink& sink = *sinks_[ps.index];
-  sink.signaling_rx(other.ep.addr, now, config_.profile.signaling.request_bytes,
+  if (req->flow == nullptr) req->flow = &sink.flow(other.ep.addr);
+  sink.signaling_rx(*req->flow, now, config_.profile.signaling.request_bytes,
                     sim::ttl_after(fwd.hops));
 
   sim::TrainSpec spec;
@@ -955,7 +1015,7 @@ void Swarm::requester_loop(ProbeState& ps, std::shared_ptr<Requester> req) {
   const sim::TrainResult train = sim::transmit_train(
       spec, self.access, up_[ps.id], other.access, down_[req->id], rev, rng_,
       channel_for(ps.id, req->id), train_metrics_);
-  sink.video_train_tx(other.ep.addr, train.departures, stream.packet_bytes);
+  sink.video_train_tx(*req->flow, train.departures, stream.packet_bytes);
   ++counters_.chunks_uploaded;
 }
 
@@ -963,9 +1023,7 @@ void Swarm::zap_probe(ProbeState& ps) {
   // Channel zap: the client drops its partners and in-flight work, but
   // keeps a zap_reuse fraction of its known peers — the cross-channel
   // cache commercial clients carry between channels.
-  for (const Partner& partner : ps.partners) {
-    ps.belief_cache[partner.id] = partner.belief_mbps;
-  }
+  for (Partner& partner : ps.partners) retire_partner(ps, partner);
   ps.partners.clear();
   ps.inflight.clear();
   if (faults_active_) {
@@ -1115,6 +1173,10 @@ void Swarm::run() {
   }
 
   engine_.run_until(config_.duration);
+  // The partners still in their sets owe the sinks their keepalives.
+  for (ProbeState& ps : probes_) {
+    for (Partner& partner : ps.partners) flush_keepalives(ps, partner);
+  }
 
   if (discovery_) {
     // Merge the service-owned control-plane counters; the NAT and

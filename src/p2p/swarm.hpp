@@ -133,12 +133,27 @@ class Swarm {
     /// uint64 max).
     std::uint64_t lag_epoch = std::numeric_limits<std::uint64_t>::max();
     util::SimTime lag{0};
+    /// Capture handles (DESIGN.md §14), null until the first packet to
+    /// or from this partner is captured: the partner's flow at this
+    /// probe's sink, and, when the partner is a probe, this probe's
+    /// flow at the partner's sink.
+    trace::FlowStats* flow = nullptr;
+    trace::FlowStats* peer_flow = nullptr;
+    /// Keepalives sent since the last flush, and the first and last
+    /// send time among them. retire_partner and the end of run() fold
+    /// them into the flows (flush_keepalives).
+    std::uint32_t keepalives = 0;
+    util::SimTime keepalive_first{0};
+    util::SimTime keepalive_last{0};
   };
 
   struct Requester {
     PeerId id = 0;
     double stream_share = 0.5;
     util::SimTime leaves{0};
+    /// The requester's flow at this probe's sink, null until its first
+    /// request is captured.
+    trace::FlowStats* flow = nullptr;
   };
 
   /// Per-probe protocol state, laid out flat (DESIGN.md §14): the
@@ -200,6 +215,24 @@ class Swarm {
   void maintain_partners(ProbeState& ps);    // partner churn
   void run_discovery(ProbeState& ps);        // contact new peers
   void send_keepalives(ProbeState& ps);
+  /// Where a keepalive from `ps` to `partner` is captured, as offsets
+  /// from its send time (the probe's TX is at +0) and RX TTLs. Fixed
+  /// per pair, because path delays and hops are.
+  struct KeepaliveCapture {
+    util::SimTime probe_rx;    // the reply, after the round trip
+    util::SimTime partner_rx;  // at a probe partner's sink
+    util::SimTime partner_tx;  // its reply
+    std::uint8_t probe_ttl = 0;
+    std::uint8_t partner_ttl = 0;
+  };
+  [[nodiscard]] KeepaliveCapture keepalive_capture(const ProbeState& ps,
+                                                   PeerId partner) const;
+  /// Folds a partner's deferred keepalives into its flows: one path
+  /// pair and one counted update per direction and sink.
+  void flush_keepalives(const ProbeState& ps, Partner& partner);
+  /// A partner leaves the set: its belief is cached and its keepalives
+  /// flushed. The caller erases it.
+  void retire_partner(ProbeState& ps, Partner& partner);
   void schedule_requests(ProbeState& ps);
   void request_chunk(ProbeState& ps, Partner& partner, ChunkIndex chunk);
   void complete_chunk(ProbeState& ps, PeerId from, ChunkIndex chunk,

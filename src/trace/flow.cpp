@@ -76,21 +76,18 @@ void add_ipg(FlowStats& f, std::int64_t gap) {
 
 }  // namespace
 
-void FlowTable::add_run(net::Ipv4Addr remote, Direction dir,
-                        sim::PacketKind kind, std::int32_t bytes_per_packet,
-                        std::uint8_t ttl, std::span<const util::SimTime> ts) {
-  if (ts.empty()) return;
+FlowStats& FlowTable::flow(net::Ipv4Addr remote) {
   auto [it, inserted] = flows_.try_emplace(remote);
-  FlowStats& f = it->second;
-  if (inserted) f.remote = remote;
+  if (inserted) it->second.remote = remote;
+  return it->second;
+}
 
-  const auto [lo, hi] = std::minmax_element(ts.begin(), ts.end());
-  f.first_ts = std::min(f.first_ts, *lo);
-  f.last_ts = std::max(f.last_ts, *hi);
-
-  const auto n = static_cast<std::uint64_t>(ts.size());
+void FlowTable::count(FlowStats& f, Direction dir, bool video,
+                      std::int32_t bytes_per_packet, std::uint8_t ttl,
+                      std::uint64_t n, util::SimTime lo, util::SimTime hi) {
+  f.first_ts = std::min(f.first_ts, lo);
+  f.last_ts = std::max(f.last_ts, hi);
   const std::uint64_t bytes = n * static_cast<std::uint64_t>(bytes_per_packet);
-  const bool video = kind == sim::PacketKind::kVideo;
   if (dir == Direction::kTx) {
     f.tx_pkts += n;
     f.tx_bytes += bytes;
@@ -109,21 +106,41 @@ void FlowTable::add_run(net::Ipv4Addr remote, Direction dir,
   total_rx_bytes_ += bytes;
   f.rx_ttl = ttl;
   f.saw_rx = true;
-  add_ttl(f, ttl, static_cast<std::int32_t>(ts.size()));
-  if (!video) return;
+  add_ttl(f, ttl, static_cast<std::int32_t>(n));
+  if (video) {
+    f.rx_video_pkts += n;
+    f.rx_video_bytes += bytes;
+  }
+}
+
+void FlowTable::add_run(FlowStats& f, Direction dir, sim::PacketKind kind,
+                        std::int32_t bytes_per_packet, std::uint8_t ttl,
+                        std::span<const util::SimTime> ts) {
+  if (ts.empty()) return;
+  const auto [lo, hi] = std::minmax_element(ts.begin(), ts.end());
+  const auto n = static_cast<std::uint64_t>(ts.size());
+  const bool video = kind == sim::PacketKind::kVideo;
+  count(f, dir, video, bytes_per_packet, ttl, n, *lo, *hi);
+  if (dir == Direction::kTx || !video) return;
 
   // Every RX video packet but the flow's first closes one gap. A gap
   // that steps back in time (a reordered capture record) is no sample,
   // but it still moves the left edge.
   std::size_t i = 0;
-  if (f.rx_video_pkts == 0) f.last_rx_video_ts = ts[i++];
-  f.rx_video_pkts += n;
-  f.rx_video_bytes += bytes;
+  if (f.rx_video_pkts == n) f.last_rx_video_ts = ts[i++];  // the first run
   for (; i < ts.size(); ++i) {
     const std::int64_t gap = ts[i].ns() - f.last_rx_video_ts.ns();
     f.last_rx_video_ts = ts[i];
     if (gap >= 0) add_ipg(f, gap);
   }
+}
+
+void FlowTable::add_counted(FlowStats& f, Direction dir,
+                            std::int32_t bytes_per_packet, std::uint8_t ttl,
+                            std::uint64_t n, util::SimTime lo,
+                            util::SimTime hi) {
+  if (n == 0) return;
+  count(f, dir, /*video=*/false, bytes_per_packet, ttl, n, lo, hi);
 }
 
 FlowTable FlowTable::from_records(net::Ipv4Addr probe,

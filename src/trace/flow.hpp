@@ -11,6 +11,15 @@
 //     ProbeSinks);
 //   - offline, from a stored/loaded record vector sorted by time
 //     (the faithful "analyse the pcap" path; exp::load_capture).
+//
+// Online updates go through a handle: flow(remote) returns the
+// FlowStats for `remote`, created on first use, and it stays valid for
+// the table's lifetime (flows_ is node-based, so a rehash moves no
+// node). A caller that captures to one remote many times keeps the
+// handle and skips the hash lookup. A counted update (add_counted)
+// folds n signaling packets into a flow at once; it is exact only
+// while every RX packet on that flow carries one TTL, the model's
+// fixed path per ordered (remote, probe) pair (see add_counted).
 #pragma once
 
 #include <array>
@@ -105,22 +114,47 @@ class FlowTable {
 
   [[nodiscard]] net::Ipv4Addr probe() const { return probe_; }
 
-  /// Online update with a run of packets that share one remote,
-  /// direction, kind, size and TTL (a video train, or one packet),
-  /// stamped `ts` in capture order. Leaves the table exactly as one
-  /// add() per packet would. Packets from the same remote must arrive
-  /// in non-decreasing timestamp order for the IPG tracking to match
-  /// the offline path (the simulator guarantees this per remote unless
-  /// capture reordering is on).
-  void add_run(net::Ipv4Addr remote, Direction dir, sim::PacketKind kind,
+  /// Handle to the flow with `remote`, created empty on first use at
+  /// the place in flows() order where its first packet would put it.
+  /// The reference stays valid for the table's lifetime. An empty flow
+  /// is a flow: take the handle where the first packet is captured.
+  [[nodiscard]] FlowStats& flow(net::Ipv4Addr remote);
+
+  /// Online update of `flow` (a handle from this table) with a run of
+  /// packets that share one direction, kind, size and TTL (a video
+  /// train, or one packet), stamped `ts` in capture order. Leaves the
+  /// table exactly as one add() per packet would. Packets from the same
+  /// remote must arrive in non-decreasing timestamp order for the IPG
+  /// tracking to match the offline path (the simulator guarantees this
+  /// per remote unless capture reordering is on).
+  void add_run(FlowStats& flow, Direction dir, sim::PacketKind kind,
                std::int32_t bytes_per_packet, std::uint8_t ttl,
                std::span<const util::SimTime> ts);
+
+  /// The same by address; a run of zero packets adds no flow.
+  void add_run(net::Ipv4Addr remote, Direction dir, sim::PacketKind kind,
+               std::int32_t bytes_per_packet, std::uint8_t ttl,
+               std::span<const util::SimTime> ts) {
+    if (ts.empty()) return;
+    add_run(flow(remote), dir, kind, bytes_per_packet, ttl, ts);
+  }
 
   /// Online update with one record: a run of one.
   void add(const PacketRecord& record) {
     add_run(record.remote, record.dir, record.kind, record.bytes, record.ttl,
             {&record.ts, 1});
   }
+
+  /// Counted update of `flow` (a handle from this table) with `n`
+  /// signaling packets of one direction, size and TTL whose earliest
+  /// stamp is `lo` and latest `hi`. Equal to the `n` single add()s in
+  /// any order, given the precondition: every RX packet the flow ever
+  /// sees carries the same TTL, so the Misra–Gries sketch and rx_ttl
+  /// do not depend on where in the sequence these packets fall.
+  /// Signaling moves no IPG state. `n == 0` changes nothing.
+  void add_counted(FlowStats& flow, Direction dir,
+                   std::int32_t bytes_per_packet, std::uint8_t ttl,
+                   std::uint64_t n, util::SimTime lo, util::SimTime hi);
 
   /// Offline build: sorts a copy of `records` by time and feeds it.
   [[nodiscard]] static FlowTable from_records(
@@ -141,6 +175,12 @@ class FlowTable {
   [[nodiscard]] std::uint64_t total_tx_pkts() const { return total_tx_pkts_; }
 
  private:
+  /// The counter half of every update: packet and byte counters,
+  /// totals, first/last stamps, and the RX TTL state.
+  void count(FlowStats& f, Direction dir, bool video,
+             std::int32_t bytes_per_packet, std::uint8_t ttl,
+             std::uint64_t n, util::SimTime lo, util::SimTime hi);
+
   net::Ipv4Addr probe_;
   std::unordered_map<net::Ipv4Addr, FlowStats> flows_;
   std::uint64_t total_rx_bytes_ = 0;

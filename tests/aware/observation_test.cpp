@@ -28,8 +28,8 @@ net::NetRegistry make_registry() {
 TEST(ExtractObservations, JoinsRegistryAttributes) {
   const auto registry = make_registry();
   trace::ProbeSink sink{kProbe, false};
-  sink.signaling_rx(kForeign, SimTime::millis(1), 120, 108);
-  sink.signaling_rx(kSameAs, SimTime::millis(2), 120, 121);
+  sink.signaling_rx(sink.flow(kForeign), SimTime::millis(1), 120, 108);
+  sink.signaling_rx(sink.flow(kSameAs), SimTime::millis(2), 120, 121);
 
   const auto obs =
       extract_observations(sink.flows(), registry, {kProbe, kSameSubnet});
@@ -55,7 +55,7 @@ TEST(ExtractObservations, JoinsRegistryAttributes) {
 TEST(ExtractObservations, FlagsNapaRemotes) {
   const auto registry = make_registry();
   trace::ProbeSink sink{kProbe, false};
-  sink.signaling_rx(kSameSubnet, SimTime::millis(1), 120, 127);
+  sink.signaling_rx(sink.flow(kSameSubnet), SimTime::millis(1), 120, 127);
   const auto obs =
       extract_observations(sink.flows(), registry, {kProbe, kSameSubnet});
   ASSERT_EQ(obs.size(), 1u);
@@ -66,7 +66,7 @@ TEST(ExtractObservations, FlagsNapaRemotes) {
 TEST(ExtractObservations, HopsUnknownWithoutRx) {
   const auto registry = make_registry();
   trace::ProbeSink sink{kProbe, false};
-  sink.signaling_tx(kForeign, SimTime::millis(1), 120);
+  sink.signaling_tx(sink.flow(kForeign), SimTime::millis(1), 120);
   const auto obs = extract_observations(sink.flows(), registry, {});
   ASSERT_EQ(obs.size(), 1u);
   EXPECT_EQ(obs[0].rx_hops, -1);
@@ -77,8 +77,8 @@ TEST(ExtractObservations, CarriesVolumeAndIpg) {
   trace::ProbeSink sink{kProbe, false};
   const std::vector<SimTime> arrivals{SimTime::micros(0), SimTime::micros(500),
                                       SimTime::micros(1100)};
-  sink.video_train_rx(kForeign, arrivals, 1250, 109);
-  sink.video_train_tx(kForeign, arrivals, 1250);
+  sink.video_train_rx(sink.flow(kForeign), arrivals, 1250, 109);
+  sink.video_train_tx(sink.flow(kForeign), arrivals, 1250);
 
   const auto obs = extract_observations(sink.flows(), registry, {});
   ASSERT_EQ(obs.size(), 1u);
@@ -92,7 +92,7 @@ TEST(ExtractObservations, CarriesVolumeAndIpg) {
 TEST(ExtractObservations, UnknownAddressYieldsUnknownAsCc) {
   net::NetRegistry registry;  // empty
   trace::ProbeSink sink{kProbe, false};
-  sink.signaling_rx(kForeign, SimTime::millis(1), 120, 100);
+  sink.signaling_rx(sink.flow(kForeign), SimTime::millis(1), 120, 100);
   const auto obs = extract_observations(sink.flows(), registry, {});
   ASSERT_EQ(obs.size(), 1u);
   EXPECT_FALSE(obs[0].remote_as.known());

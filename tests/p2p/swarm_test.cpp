@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -156,6 +157,86 @@ TEST(Swarm, KeepRecordsStoresRawPackets) {
           trace::FlowTable::from_records(sink.probe(), sink.records()),
           sink.flows());
     }
+  }
+}
+
+// Partners leave the set every way they can: worst and random drops
+// (every run), blacklisting after bursty-loss timeouts, probe crashes
+// and the flash crowd's zap. Background churn, DHT discovery with a
+// gossip fallback and the NAT matrix ride along.
+SwarmConfig every_exit_config() {
+  SwarmConfig cfg = tiny_config(5, SimTime::seconds(60));
+  cfg.keep_records = true;
+  cfg.churn.probe_session_s = 6.0;
+  cfg.churn.probe_downtime_s = 1.0;
+  cfg.churn.bg_session_s = 20.0;
+  cfg.churn.bg_downtime_s = 5.0;
+  cfg.churn.blacklist_after = 2;
+  cfg.impairment.loss_rate = 0.3;
+  cfg.impairment.loss_burst = 8.0;
+  cfg.discovery.primary = DiscoveryBackendKind::kDht;
+  cfg.discovery.fallback = DiscoveryBackendKind::kGossip;
+  cfg.discovery.nat.enabled = true;
+  cfg.discovery.flash_crowd_at = SimTime::seconds(20);
+  cfg.discovery.flash_crowd_arrivals = 40;
+  return cfg;
+}
+
+TEST(Swarm, EveryPartnerExitFlushesKeepalives) {
+  // Keepalives are counted on the Partner and folded into the flows
+  // when it leaves the set or the run ends, while their records are
+  // stored at send time. A missed flush at any exit leaves the online
+  // table short of the per-record replay.
+  const auto probes = table1_probes();
+  Swarm swarm{topo(), probes, every_exit_config()};
+  swarm.run();
+  const auto& counters = swarm.counters();
+  EXPECT_GT(counters.probe_crashes, 0u);
+  EXPECT_GT(counters.partners_blacklisted, 0u);
+  EXPECT_GT(counters.discovery.flash_arrivals, 0u);
+  for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
+    SCOPED_TRACE("probe " + std::to_string(i));
+    const trace::ProbeSink& sink = swarm.sink(i);
+    trace::FlowTable replay{sink.probe()};
+    for (const trace::PacketRecord& record : sink.records()) {
+      replay.add(record);
+    }
+    test::expect_same_flows(replay, sink.flows());
+    test::expect_same_order(replay, sink.flows());
+  }
+}
+
+TEST(Swarm, EveryRxPacketOfAFlowCarriesOneTtl) {
+  // The precondition of the counted keepalive update: every RX capture
+  // on a flow carries the TTL of the one path from that remote to the
+  // probe, so the flow's Misra–Gries sketch has at most one live slot,
+  // holding every RX packet.
+  const auto probes = table1_probes();
+  for (const bool exits : {false, true}) {
+    SCOPED_TRACE(exits ? "every exit" : "clean");
+    const SwarmConfig cfg =
+        exits ? every_exit_config() : tiny_config(5, SimTime::seconds(60));
+    Swarm swarm{topo(), probes, cfg};
+    swarm.run();
+    std::size_t flows = 0;
+    for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
+      for (const auto& [remote, flow] : swarm.sink(i).flows().flows()) {
+        SCOPED_TRACE("probe " + std::to_string(i) + " remote " +
+                     remote.to_string());
+        ++flows;
+        int live = 0;
+        std::int64_t held = 0;
+        for (const std::int32_t count : flow.ttl_counts) {
+          if (count > 0) {
+            ++live;
+            held += count;
+          }
+        }
+        EXPECT_LE(live, 1);
+        EXPECT_EQ(static_cast<std::uint64_t>(held), flow.rx_pkts);
+      }
+    }
+    EXPECT_GT(flows, 1000u);
   }
 }
 

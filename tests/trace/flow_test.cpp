@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -268,6 +269,111 @@ TEST(FlowTable, WeightedTtlUpdateFreesASlotMidRun) {
   EXPECT_EQ(a->ttl_candidates, (std::array<std::uint8_t, 3>{100, 103, 102}));
   EXPECT_EQ(a->ttl_counts, (std::array<std::int32_t, 3>{2, 3, 1}));
   EXPECT_EQ(a->rx_ttl_mode(), 103);
+}
+
+TEST(FlowTable, HandleOutlivesRehashes) {
+  // flows_ is node-based: 10k inserts rehash it several times, and a
+  // handle taken before them still updates its own flow.
+  FlowTable table{kProbe};
+  FlowStats& handle = table.flow(kPeerA);
+  const std::size_t buckets = table.flows().bucket_count();
+  const std::vector<SimTime> one{SimTime{5}};
+  for (std::uint32_t i = 0; i < 10'000; ++i) {
+    table.add_run(Ipv4Addr{(30u << 24) + i}, Direction::kTx,
+                  sim::PacketKind::kSignaling, 120, 128, one);
+  }
+  EXPECT_GT(table.flows().bucket_count(), 8 * buckets);
+  table.add_run(handle, Direction::kRx, sim::PacketKind::kVideo, 1250, 110,
+                one);
+  const FlowStats* a = table.find(kPeerA);
+  ASSERT_EQ(a, &handle);
+  EXPECT_EQ(a->remote, kPeerA);
+  EXPECT_EQ(a->rx_video_pkts, 1u);
+  EXPECT_EQ(a->first_ts, SimTime{5});
+  EXPECT_EQ(table.total_rx_pkts(), 1u);
+  EXPECT_EQ(table.total_tx_pkts(), 10'000u);
+}
+
+TEST(FlowTable, HandleTakesTheOrderOfTheFirstAdd) {
+  // Resolving a handle where the first packet is captured puts the
+  // remote where add() would in flows() order, whether the remote's
+  // later packets go through the handle or by address.
+  FlowTable by_handle{kProbe};
+  FlowTable by_address{kProbe};
+  std::vector<FlowStats*> handles;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    const Ipv4Addr remote{(40u << 24) + i * 7919u};
+    const PacketRecord record = sig_tx(remote, 1000 + i);
+    handles.push_back(&by_handle.flow(remote));
+    by_handle.add_run(*handles.back(), record.dir, record.kind, record.bytes,
+                      record.ttl, {&record.ts, 1});
+    by_address.add(record);
+  }
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    const PacketRecord record =
+        video_rx(Ipv4Addr{(40u << 24) + i * 7919u}, 5000 + i);
+    by_handle.add_run(*handles[i], record.dir, record.kind, record.bytes,
+                      record.ttl, {&record.ts, 1});
+    by_address.add(record);
+  }
+  test::expect_same_flows(by_address, by_handle);
+  test::expect_same_order(by_address, by_handle);
+}
+
+TEST(FlowTable, CountedUpdateEqualsSingleAdds) {
+  // n signaling packets stamped lo..hi, as one counted update and as
+  // n single adds: every field, the totals and the TTL sketch agree,
+  // for TX and RX, on a fresh flow and on one with history (whose
+  // stamps lie inside [lo, hi]), for a run of one and of many.
+  const SimTime lo{1'000};
+  const SimTime hi{91'000};
+  for (const Direction dir : {Direction::kTx, Direction::kRx}) {
+    for (const bool fresh : {true, false}) {
+      for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{10}}) {
+        SCOPED_TRACE(std::string(dir == Direction::kTx ? "tx" : "rx") +
+                     (fresh ? " fresh" : " history") + " n=" +
+                     std::to_string(n));
+        FlowTable singles{kProbe};
+        FlowTable counted{kProbe};
+        if (!fresh) {
+          for (FlowTable* table : {&singles, &counted}) {
+            table->add(video_rx(kPeerA, 40'000, 112));
+            table->add(video_rx(kPeerA, 41'000, 112));
+            table->add(sig_tx(kPeerA, 42'000));
+            table->add(video_rx(kPeerB, 43'000, 99));
+          }
+        }
+        const std::uint8_t ttl = dir == Direction::kTx ? 128 : 112;
+        const SimTime last = n == 1 ? lo : hi;
+        for (std::uint64_t k = 0; k < n; ++k) {
+          const std::int64_t step =
+              n == 1 ? 0
+                     : (last.ns() - lo.ns()) / static_cast<std::int64_t>(n - 1);
+          singles.add({SimTime{lo.ns() + static_cast<std::int64_t>(k) * step},
+                       kPeerA, 200, dir, sim::PacketKind::kSignaling, ttl});
+        }
+        counted.add_counted(counted.flow(kPeerA), dir, 200, ttl, n, lo, last);
+        test::expect_same_flows(singles, counted);
+        test::expect_same_order(singles, counted);
+      }
+    }
+  }
+}
+
+TEST(FlowTable, CountedUpdateOfNothingChangesNothing) {
+  FlowTable table{kProbe};
+  table.add(video_rx(kPeerA, 5'000));
+  table.add(sig_tx(kPeerA, 6'000));
+  const FlowStats before = *table.find(kPeerA);
+  for (const Direction dir : {Direction::kTx, Direction::kRx}) {
+    table.add_counted(table.flow(kPeerA), dir, 200, 100, 0, SimTime{1},
+                      SimTime::max());
+  }
+  test::expect_same_flow(before, *table.find(kPeerA));
+  EXPECT_EQ(table.total_rx_pkts(), 1u);
+  EXPECT_EQ(table.total_tx_pkts(), 1u);
+  EXPECT_EQ(table.total_rx_bytes(), 1250u);
+  EXPECT_EQ(table.total_tx_bytes(), 120u);
 }
 
 TEST(RecordOrdering, TotalOrder) {
