@@ -145,10 +145,20 @@ void FlowTable::add_counted(FlowStats& f, Direction dir,
 
 FlowTable FlowTable::from_records(net::Ipv4Addr probe,
                                   std::span<const PacketRecord> records) {
-  std::vector<PacketRecord> sorted(records.begin(), records.end());
-  std::sort(sorted.begin(), sorted.end(), record_before);
+  std::vector<PacketRecord> sorted;
+  if (!std::is_sorted(records.begin(), records.end(), record_before)) {
+    sorted.assign(records.begin(), records.end());
+    std::sort(sorted.begin(), sorted.end(), record_before);
+    records = sorted;
+  }
   FlowTable table{probe};
-  for (const auto& r : sorted) table.add(r);
+  FlowStats* last = nullptr;  // the previous record's flow
+  for (const PacketRecord& r : records) {
+    if (last == nullptr || last->remote != r.remote) {
+      last = &table.flow(r.remote);
+    }
+    table.add_run(*last, r.dir, r.kind, r.bytes, r.ttl, {&r.ts, 1});
+  }
   return table;
 }
 

@@ -156,7 +156,15 @@ class FlowTable {
                    std::int32_t bytes_per_packet, std::uint8_t ttl,
                    std::uint64_t n, util::SimTime lo, util::SimTime hi);
 
-  /// Offline build: sorts a copy of `records` by time and feeds it.
+  /// Offline build: feeds `records` in record_before order. Input
+  /// already in that order, as every PSBT file is, is walked in place;
+  /// other input is copied and sorted first. The two paths can differ
+  /// only in the order of record_before ties (same stamp, remote and
+  /// direction), which std::sort leaves unspecified anyway, and a tie
+  /// lands the same either way: counters add, stamps are equal, tied
+  /// video packets close the same gaps, signaling moves no gap state,
+  /// and every RX packet of a flow carries one TTL. Consecutive
+  /// records of one remote share one flow() lookup.
   [[nodiscard]] static FlowTable from_records(
       net::Ipv4Addr probe, std::span<const PacketRecord> records);
 

@@ -20,22 +20,24 @@ constexpr std::uint16_t kAppPort = 4004;
 /// Bytes of each packet actually stored: the IPv4 and UDP headers.
 constexpr std::uint32_t kSnaplen = 28;
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>(v >> 8));
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
+/// Bytes of each record: the 16-byte record header, then the stored
+/// packet bytes.
+constexpr std::size_t kRecordLen = 16 + kSnaplen;
+
+void store_le32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 // Network byte order (big-endian) for the IP/UDP header fields.
-void put_be16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v & 0xff));
+void store_be16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
 }
-void put_be32(std::string& out, std::uint32_t v) {
-  put_be16(out, static_cast<std::uint16_t>(v >> 16));
-  put_be16(out, static_cast<std::uint16_t>(v & 0xffff));
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  store_be16(p, static_cast<std::uint16_t>(v >> 16));
+  store_be16(p + 2, static_cast<std::uint16_t>(v));
 }
 
 std::uint16_t read_u16(const char*& p) {
@@ -74,60 +76,60 @@ std::uint16_t ipv4_header_checksum(const std::uint8_t* header,
 void write_pcap(const std::filesystem::path& path, net::Ipv4Addr probe,
                 const std::vector<PacketRecord>& records) {
   std::string out;
-  out.reserve(24 + records.size() * (16 + kSnaplen));
+  out.reserve(24 + records.size() * kRecordLen);
 
   // Global header.
-  put_u32(out, kPcapMagic);
-  put_u16(out, kVersionMajor);
-  put_u16(out, kVersionMinor);
-  put_u32(out, 0);  // thiszone
-  put_u32(out, 0);  // sigfigs
-  put_u32(out, kSnaplen);
-  put_u32(out, kLinkTypeRaw);
+  std::uint8_t header[24];
+  store_le32(header, kPcapMagic);
+  store_le32(header + 4,  // two u16: major, then minor
+             kVersionMajor | std::uint32_t{kVersionMinor} << 16);
+  store_le32(header + 8, 0);   // thiszone
+  store_le32(header + 12, 0);  // sigfigs
+  store_le32(header + 16, kSnaplen);
+  store_le32(header + 20, kLinkTypeRaw);
+  out.append(reinterpret_cast<const char*>(header), sizeof header);
 
+  // Each record is packed in place and appended once. Every packet is
+  // at least the 28 header bytes stored, so each stores exactly
+  // kSnaplen bytes.
   for (const auto& r : records) {
+    std::uint8_t rec[kRecordLen];
     const bool rx = r.dir == Direction::kRx;
     const net::Ipv4Addr src = rx ? r.remote : probe;
     const net::Ipv4Addr dst = rx ? probe : r.remote;
     const std::uint8_t ttl = rx ? r.ttl : sim::kInitialTtl;
     const auto total_len =
         static_cast<std::uint16_t>(std::max(r.bytes, 28));
-    const std::uint32_t incl_len =
-        std::min<std::uint32_t>(kSnaplen, total_len);
 
     // Record header: seconds, microseconds, captured, original.
     const std::int64_t ns = r.ts.ns();
-    put_u32(out, static_cast<std::uint32_t>(ns / 1'000'000'000));
-    put_u32(out, static_cast<std::uint32_t>((ns % 1'000'000'000) / 1'000));
-    put_u32(out, incl_len);
-    put_u32(out, total_len);
+    store_le32(rec, static_cast<std::uint32_t>(ns / 1'000'000'000));
+    store_le32(rec + 4,
+               static_cast<std::uint32_t>((ns % 1'000'000'000) / 1'000));
+    store_le32(rec + 8, kSnaplen);
+    store_le32(rec + 12, total_len);
 
     // IPv4 header (20 bytes).
-    std::string pkt;
-    pkt.reserve(incl_len);
-    pkt.push_back(0x45);  // version 4, IHL 5
-    pkt.push_back(0x00);  // DSCP/ECN
-    put_be16(pkt, total_len);
-    put_be16(pkt, 0);       // identification
-    put_be16(pkt, 0x4000);  // DF
-    pkt.push_back(static_cast<char>(ttl));
-    pkt.push_back(17);  // UDP
-    put_be16(pkt, 0);   // checksum placeholder
-    put_be32(pkt, src.bits());
-    put_be32(pkt, dst.bits());
-    const std::uint16_t checksum = ipv4_header_checksum(
-        reinterpret_cast<const std::uint8_t*>(pkt.data()), 20);
-    pkt[10] = static_cast<char>(checksum >> 8);
-    pkt[11] = static_cast<char>(checksum & 0xff);
+    std::uint8_t* ip = rec + 16;
+    ip[0] = 0x45;  // version 4, IHL 5
+    ip[1] = 0x00;  // DSCP/ECN
+    store_be16(ip + 2, total_len);
+    store_be16(ip + 4, 0);       // identification
+    store_be16(ip + 6, 0x4000);  // DF
+    ip[8] = ttl;
+    ip[9] = 17;              // UDP
+    store_be16(ip + 10, 0);  // checksum placeholder
+    store_be32(ip + 12, src.bits());
+    store_be32(ip + 16, dst.bits());
+    store_be16(ip + 10, ipv4_header_checksum(ip, 20));
 
     // UDP header (8 bytes); checksum 0 = not computed (legal for IPv4).
-    put_be16(pkt, kAppPort);
-    put_be16(pkt, kAppPort);
-    put_be16(pkt, static_cast<std::uint16_t>(total_len - 20));
-    put_be16(pkt, 0);
+    store_be16(ip + 20, kAppPort);
+    store_be16(ip + 22, kAppPort);
+    store_be16(ip + 24, static_cast<std::uint16_t>(total_len - 20));
+    store_be16(ip + 26, 0);
 
-    pkt.resize(incl_len, '\0');
-    out += pkt;
+    out.append(reinterpret_cast<const char*>(rec), sizeof rec);
   }
 
   util::write_file_atomic(path, out);

@@ -1,6 +1,7 @@
 #include "util/io_faults.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -397,7 +398,13 @@ std::optional<std::string> read_file(const std::filesystem::path& path) {
   if (fd < 0) {
     return std::nullopt;
   }
+  // Sized from fstat, a regular file lands in one allocation; a file
+  // that is not regular or that grows while it is read still appends.
   std::string buf;
+  struct stat st{};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    buf.reserve(static_cast<std::size_t>(st.st_size));
+  }
   char chunk[1 << 16];
   for (;;) {
     const ssize_t got = ::read(fd, chunk, sizeof chunk);

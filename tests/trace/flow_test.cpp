@@ -9,7 +9,11 @@
 #include <utility>
 #include <vector>
 
+#include "net/topology.hpp"
+#include "p2p/population.hpp"
+#include "p2p/swarm.hpp"
 #include "support/flow_equal.hpp"
+#include "trace/sink.hpp"
 #include "util/rng.hpp"
 
 namespace peerscope::trace {
@@ -239,6 +243,103 @@ TEST(FlowTable, OfflineEqualsOnline) {
     test::expect_same_flows(by_record,
                             FlowTable::from_records(kProbe, records));
   }
+}
+
+/// Swaps each pair of adjacent record_before ties in sorted `records`:
+/// still sorted, with every tie in the other order.
+void reverse_ties(std::vector<PacketRecord>& records) {
+  for (std::size_t i = 0; i + 1 < records.size(); ++i) {
+    if (!record_before(records[i], records[i + 1])) {
+      std::swap(records[i], records[i + 1]);
+      ++i;
+    }
+  }
+}
+
+TEST(FlowTable, OfflineBuildOfSortedInputEqualsShuffledInput) {
+  // Sorted input is walked in place, any other input is sorted first;
+  // both give every field, the totals and the flows() order, and so
+  // does sorted input with every tie reversed. The records are a swarm
+  // capture with reordering and duplication on, plus ties (same stamp,
+  // remote and direction) made by hand on its busiest remote: video
+  // with signaling, and two video packets.
+  p2p::SwarmConfig cfg;
+  cfg.profile = p2p::SystemProfile::tvants();
+  cfg.profile.population.background_peers = 120;
+  cfg.seed = 3;
+  cfg.duration = SimTime::seconds(10);
+  cfg.keep_records = true;
+  cfg.impairment.reorder_rate = 0.05;
+  cfg.impairment.duplicate_rate = 0.05;
+  const net::AsTopology topo = net::make_reference_topology();
+  const auto probes = p2p::table1_probes();
+  p2p::Swarm swarm{topo, probes, cfg};
+  swarm.run();
+
+  util::Rng rng{5};
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
+    SCOPED_TRACE("probe " + std::to_string(i));
+    const ProbeSink& sink = swarm.sink(i);
+    std::vector<PacketRecord> records = sink.records();
+    const FlowStats* busy = nullptr;
+    for (const auto& [remote, flow] : sink.flows().flows()) {
+      if (busy == nullptr || flow.rx_video_pkts > busy->rx_video_pkts) {
+        busy = &flow;
+      }
+    }
+    ASSERT_NE(busy, nullptr);
+    const std::int64_t end = busy->last_ts.ns();
+    PacketRecord video = video_rx(busy->remote, end + 1'000, busy->rx_ttl);
+    PacketRecord signaling = video;
+    signaling.kind = sim::PacketKind::kSignaling;
+    signaling.bytes = 120;
+    records.push_back(video);
+    records.push_back(signaling);
+    video.ts = SimTime{end + 2'000};
+    records.push_back(video);
+    video.bytes = 1'000;
+    records.push_back(video);
+
+    std::sort(records.begin(), records.end(), record_before);
+    std::vector<PacketRecord> reversed = records;
+    reverse_ties(reversed);
+    for (std::size_t k = 0; k + 1 < records.size(); ++k) {
+      ties += record_before(records[k], records[k + 1]) ? 0 : 1;
+    }
+    std::vector<PacketRecord> shuffled = records;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+    const FlowTable want = FlowTable::from_records(sink.probe(), shuffled);
+    for (const auto* input : {&records, &reversed}) {
+      const FlowTable got = FlowTable::from_records(sink.probe(), *input);
+      test::expect_same_flows(want, got);
+      test::expect_same_order(want, got);
+    }
+
+    // One out-of-order pair sends the input down the sorting path: two
+    // RX video packets of one remote, which walked as given would make
+    // a negative gap.
+    std::vector<PacketRecord> one_swap = records;
+    const auto consecutive_video = [](const PacketRecord& a,
+                                      const PacketRecord& b) {
+      return a.remote == b.remote && a.dir == Direction::kRx &&
+             b.dir == Direction::kRx && a.kind == sim::PacketKind::kVideo &&
+             b.kind == sim::PacketKind::kVideo && a.ts < b.ts;
+    };
+    const auto pair = std::adjacent_find(
+        one_swap.begin() + static_cast<std::ptrdiff_t>(one_swap.size() / 2),
+        one_swap.end(), consecutive_video);
+    ASSERT_NE(pair, one_swap.end());
+    std::iter_swap(pair, pair + 1);
+    ASSERT_FALSE(std::is_sorted(one_swap.begin(), one_swap.end(),
+                                record_before));
+    const FlowTable got = FlowTable::from_records(sink.probe(), one_swap);
+    test::expect_same_flows(want, got);
+    test::expect_same_order(want, got);
+  }
+  // Two hand-made ties per probe; the capture has ties of its own.
+  EXPECT_GT(ties, 2 * swarm.probe_count());
 }
 
 TEST(FlowTable, EmptyRunAddsNoFlow) {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "sim/packet.hpp"
 #include "support/scratch_dir.hpp"
+#include "util/crc32c.hpp"
 
 namespace peerscope::trace {
 namespace {
@@ -19,6 +23,12 @@ const Ipv4Addr kRemote{20, 1, 2, 3};
 
 class PcapTest : public ::testing::Test {
  protected:
+  static std::string slurp(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
   const test::ScratchDir dir_{"peerscope_pcap_test"};
 };
 
@@ -85,9 +95,7 @@ TEST_F(PcapTest, GlobalHeaderIsStandard) {
 TEST_F(PcapTest, Ipv4ChecksumValidates) {
   const auto path = dir_ / "ck.pcap";
   write_pcap(path, kProbe, sample());
-  std::ifstream in(path, std::ios::binary);
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+  const std::string buf = slurp(path);
   // First packet's IP header begins after 24B global + 16B record hdr.
   const auto* ip = reinterpret_cast<const std::uint8_t*>(buf.data() + 40);
   // Checksum over a valid header (checksum field included) is 0.
@@ -101,6 +109,34 @@ TEST_F(PcapTest, EmptyCapture) {
   write_pcap(path, kProbe, {});
   EXPECT_TRUE(read_pcap(path, kProbe).empty());
   EXPECT_EQ(std::filesystem::file_size(path), 24u);
+}
+
+// Pinned encoded bytes (size + CRC-32C) of a fixed record set: RX and
+// TX, IP lengths below the 28-byte header floor and at video size,
+// several TTLs, stamps with sub-microsecond parts and past 1 s. Any
+// change to a record header, IPv4 or UDP field fails here.
+TEST_F(PcapTest, EncodedBytesMatchTheGoldens) {
+  std::vector<PacketRecord> records;
+  for (std::int64_t i = 0; i < 400; ++i) {
+    PacketRecord r;
+    r.ts = SimTime{i * 7'654'321 + i % 1'000};
+    r.remote = Ipv4Addr{static_cast<std::uint32_t>(0x14010000 + i % 37)};
+    r.bytes = i % 3 == 0 ? 20 : i % 3 == 1 ? 120 : 1250;
+    r.dir = i % 2 == 0 ? Direction::kRx : Direction::kTx;
+    r.kind = r.bytes >= 1000 ? sim::PacketKind::kVideo
+                             : sim::PacketKind::kSignaling;
+    r.ttl = static_cast<std::uint8_t>(100 + i % 29);
+    records.push_back(r);
+  }
+  ASSERT_GT(records.back().ts, SimTime::seconds(1));
+  const auto path = dir_ / "golden.pcap";
+  write_pcap(path, kProbe, records);
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 24 + 44 * records.size());
+  EXPECT_EQ(util::crc32c(bytes), 0xa231c293u);
+
+  write_pcap(path, kProbe, {});
+  EXPECT_EQ(util::crc32c(slurp(path)), 0x71893d82u);
 }
 
 // Each record is a 16-byte header plus 28 stored bytes, so record i's
