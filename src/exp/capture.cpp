@@ -36,8 +36,9 @@ void write_capture(const p2p::Swarm& swarm, const RunSpec& spec,
     meta.probes.push_back({info.ep.addr, info.ep.as, info.ep.country,
                            info.access.is_high_bandwidth(), label});
     const net::Ipv4Addr probe = swarm.sink(i).probe();
+    // Stable: record_before has ties, and they keep capture order.
     auto records = swarm.sink(i).records();
-    std::sort(records.begin(), records.end(), trace::record_before);
+    std::stable_sort(records.begin(), records.end(), trace::record_before);
     trace::write_trace_binary(
         target.dir / ExperimentMetadata::trace_filename(label), probe,
         records);

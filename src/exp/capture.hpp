@@ -32,7 +32,8 @@ struct CaptureTarget {
 };
 
 /// Writes what load_capture reads: one `<label>.psct` per probe with
-/// its records sorted, the optional .pcap and .csv copies, then
+/// its records stably sorted by record_before, so tied records keep
+/// capture order; the optional .pcap and .csv copies; then
 /// `experiment.meta` last, so a directory holding experiment.meta is
 /// always analyzable. Every file is written atomically. The swarm must
 /// have run `spec` with keep_records; `target.dir` must exist.

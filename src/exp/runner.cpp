@@ -5,12 +5,10 @@
 
 #include "aware/observation.hpp"
 #include "exp/capture.hpp"
-#include "exp/journal.hpp"
 #include "exp/testbed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 
 namespace peerscope::exp {
 
@@ -50,28 +48,6 @@ RunResult run_experiment(const net::AsTopology& topo, const RunSpec& spec,
   config.churn = spec.churn;
   config.discovery = spec.discovery;
   config.cancel = spec.cancel;
-  // Series rows key on the journal's stable run identity so the PSTS
-  // sidecar, the journal, and the flight-recorder dumps all agree on
-  // what a "run" is.
-  config.series_key = spec_id(spec);
-  config.progress = spec.progress;
-
-  // Mark the progress sink active for exactly the window observers may
-  // trust it, and deactivate on every exit path (the watchdog must not
-  // judge a dead attempt's frozen counters).
-  struct ProgressGuard {
-    obs::RunProgress* progress;
-    explicit ProgressGuard(obs::RunProgress* p) : progress(p) {
-      if (progress != nullptr) {
-        progress->active.store(true, std::memory_order_release);
-      }
-    }
-    ~ProgressGuard() {
-      if (progress != nullptr) {
-        progress->active.store(false, std::memory_order_release);
-      }
-    }
-  } progress_guard{spec.progress};
 
   RunResult result;
   {

@@ -40,10 +40,9 @@ struct RunSpec {
   /// supervisor arms one per attempt to enforce --deadline. nullptr =
   /// uncancellable. Must outlive the run.
   const util::CancelToken* cancel = nullptr;
-  /// Live progress sink (obs/watchdog.hpp): run_experiment marks it
-  /// active for the duration of the simulation and the engine/swarm
-  /// publish events, sim time and the rejoin p99 into it. nullptr (the
-  /// default) leaves the hot path untouched. Must outlive the run.
+  /// Inert: always null. perfbench/workloads.cpp still copies it into
+  /// SwarmConfig::progress; it goes once perfbench drops that line
+  /// (ROADMAP item 2).
   obs::RunProgress* progress = nullptr;
 };
 

@@ -1,16 +1,13 @@
 #include "exp/supervisor.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <future>
 #include <iostream>
-#include <optional>
 #include <thread>
 
 #include "exp/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "util/cancel.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -117,32 +114,11 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
   outcome.runs.resize(specs.size());
   util::Mutex journal_mutex;
 
-  // Live introspection: a LiveRun per spec whenever something will
-  // observe it — the status reporter, the SLO watchdog, or both. With
-  // neither configured no LiveRun exists and the run loop is
-  // byte-for-byte the old one.
-  std::optional<StatusReporter> reporter;
-  if (!config.status_path.empty()) {
-    reporter.emplace(config.status_path);
-  }
-  std::deque<LiveRun> slo_runs;  // watchdog-only storage (no reporter)
-  std::vector<LiveRun*> lives(specs.size(), nullptr);
-  if (reporter.has_value() || config.slo.enabled()) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const double duration_s = specs[i].duration.seconds();
-      lives[i] = reporter.has_value()
-                     ? &reporter->add_run(spec_id(specs[i]), duration_s)
-                     : &slo_runs.emplace_back(spec_id(specs[i]), duration_s);
-    }
-  }
-  if (reporter.has_value()) reporter->start();
-
   std::vector<std::future<void>> futures;
   futures.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     RunStatus& status = outcome.runs[i];
     const RunSpec& spec = specs[i];
-    LiveRun* const live = lives[i];
     status.spec = spec_id(spec);
 
     // Resume: a journaled "ok" whose blob still loads is not rerun.
@@ -154,10 +130,6 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
           status.state = RunState::kSkipped;
           status.attempts = 0;
           status.result = std::move(result);
-          if (live != nullptr) {
-            live->state.store(static_cast<int>(RunState::kSkipped),
-                              std::memory_order_release);
-          }
           if (obs::enabled()) obs::counter("exp.runs_skipped").add();
           continue;
         }
@@ -166,7 +138,7 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
 
     futures.push_back(pool.submit([&topo, &spec, &status, &run_fn, &config,
                                    &pool, &journal_mutex, &blob_dir,
-                                   journaled, live] {
+                                   journaled] {
       const int max_attempts = 1 + std::max(0, config.retries);
       for (int attempt = 1; attempt <= max_attempts; ++attempt) {
         PEERSCOPE_TRACE_INSTANT("exp.run_attempt");
@@ -177,16 +149,6 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
         }
         RunSpec attempt_spec = spec;
         attempt_spec.cancel = &token;
-        std::optional<obs::Watchdog> watchdog;
-        if (live != nullptr) {
-          live->progress.reset();
-          live->attempts.store(attempt, std::memory_order_relaxed);
-          live->state.store(LiveRun::kRunning, std::memory_order_release);
-          attempt_spec.progress = &live->progress;
-          if (config.slo.enabled()) {
-            watchdog.emplace(config.slo, &live->progress, &token);
-          }
-        }
         try {
           RunResult result = run_fn(topo, attempt_spec);
           status.state = RunState::kOk;
@@ -196,24 +158,6 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
           if (obs::enabled()) obs::counter("exp.runs_ok").add();
           break;
         } catch (const util::Cancelled& cancelled) {
-          if (watchdog.has_value()) {
-            watchdog->stop();
-            if (watchdog->tripped()) {
-              // The watchdog cancelled this run, not the deadline: a
-              // sustained SLO violation is terminal (the next attempt
-              // would violate the same objective) and distinguishable
-              // downstream — the CLI maps this error prefix to exit
-              // code 10. The verdict is recorded here, on the run's
-              // thread, so it lands in this ring's flight dump.
-              PEERSCOPE_TRACE_INSTANT("watchdog.slo_violation");
-              status.state = RunState::kFailed;
-              status.attempts = attempt;
-              status.error = "slo violation: " + watchdog->reason();
-              PEERSCOPE_TRACE_INSTANT("exp.run_failed");
-              if (obs::enabled()) obs::counter("exp.runs_failed").add();
-              break;
-            }
-          }
           // A deadline overrun is a property of the spec at this
           // scale, not a transient fault: retrying would burn another
           // full deadline for the same outcome, so report and move on.
@@ -242,11 +186,6 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
             if (obs::enabled()) obs::counter("exp.runs_failed").add();
           }
         }
-      }
-
-      if (live != nullptr) {
-        live->state.store(static_cast<int>(status.state),
-                          std::memory_order_release);
       }
 
       // Flight recorder: dump the ring tail of a run that just died,
@@ -300,7 +239,6 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
   // Drain everything; task bodies capture their own failures, so a
   // throw here is an infrastructure bug worth surfacing.
   for (auto& f : futures) f.get();
-  if (reporter.has_value()) reporter->stop();  // final "done" snapshot
   return outcome;
 }
 

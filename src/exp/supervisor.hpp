@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "exp/status.hpp"
 #include "util/thread_pool.hpp"
 
 namespace peerscope::exp {
@@ -77,18 +76,6 @@ struct SupervisorConfig {
   /// 75–125% per-(spec, attempt) draw. Tests inject a constant (or a
   /// recording probe) to make retry timing exact instead of bounded.
   std::function<double(std::uint64_t, int)> backoff_jitter;
-  /// Declarative SLOs (obs/watchdog.hpp): when any objective is set, a
-  /// watchdog per attempt polls the run's live progress and cancels it
-  /// on sustained violation; the run lands as kFailed with an "slo
-  /// violation: ..." error the CLI maps to exit 10, plus the flight-
-  /// recorder dump (supervise_runs). Default (all-zero) runs no
-  /// watchdog thread.
-  obs::SloSpec slo;
-  /// Live status.json path (exp/status.hpp): non-empty starts a
-  /// StatusReporter that atomically rewrites per-run phase / events/s
-  /// / ETA for `peerscope watch`. Empty (the default) publishes
-  /// nothing.
-  std::filesystem::path status_path;
 };
 
 struct BatchOutcome {

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "p2p/selection.hpp"
 #include "sim/packet.hpp"
 #include "sim/train.hpp"
@@ -1107,22 +1106,6 @@ void Swarm::run() {
   PEERSCOPE_SPAN("swarm_run");
   train_metrics_ = sim::TrainMetrics::resolve();
   engine_.set_cancel(config_.cancel);
-  engine_.set_progress(config_.progress);
-
-  // Arm the sim-time sampling grid only when someone is listening —
-  // with neither a series recorder nor a progress sink the engine's
-  // per-event cost (and therefore the run's byte-level output) is
-  // unchanged. The grid spacing comes from the recorder so every
-  // run's series shares it; SLO-only runs sample each sim-second.
-  const bool series_on = obs::series_enabled();
-  if (series_on || config_.progress != nullptr) {
-    const SimTime grid = series_on ? obs::series()->interval()
-                                   : SimTime::seconds(1);
-    engine_.set_sampler(grid, [this, series_on](std::uint64_t index,
-                                                SimTime at) {
-      sample_interval(series_on, index, at);
-    });
-  }
 
   // Channel-zap flash crowd, if one is scheduled for this run.
   if (discovery_active_ && config_.discovery.flash_crowd()) {
@@ -1266,86 +1249,6 @@ void Swarm::run() {
     obs::counter("trace.packets_captured").add(captured_pkts);
     obs::counter("trace.bytes_captured").add(captured_bytes);
   }
-}
-
-void Swarm::sample_interval(bool series_on, std::uint64_t index,
-                            SimTime at) {
-  // Fold the rejoin latencies that completed since the previous grid
-  // point into (a) this interval's histogram and (b) the cumulative
-  // one whose p99 the SLO watchdog compares against its ceiling.
-  obs::LogHistogram rejoins;
-  if (discovery_) {
-    const auto& latencies = discovery_->rejoin_latencies();
-    for (std::size_t i = sample_.rejoins_seen; i < latencies.size(); ++i) {
-      rejoins.record(latencies[i].ns());
-    }
-    sample_.rejoins_seen = latencies.size();
-    if (rejoins.count() > 0) {
-      sample_.rejoin_cumulative.merge(rejoins);
-      if (config_.progress != nullptr) {
-        config_.progress->rejoin_p99_ns.store(
-            sample_.rejoin_cumulative.quantile(0.99),
-            std::memory_order_relaxed);
-      }
-    }
-  }
-  if (!series_on) return;
-
-  obs::SeriesRow row;
-  // Engine throughput always lands (a zero marks an idle interval);
-  // protocol counters land only when they moved, keeping rows sparse.
-  row.counters.emplace("sim.events_executed",
-                       engine_.executed() - sample_.prev_events);
-  sample_.prev_events = engine_.executed();
-  const auto delta = [&row](const char* name, std::uint64_t now_value,
-                            std::uint64_t& prev_value) {
-    if (now_value != prev_value) {
-      row.counters.emplace(name, now_value - prev_value);
-      prev_value = now_value;
-    }
-  };
-  Counters& prev = sample_.prev;
-  delta("p2p.chunks_delivered", counters_.chunks_delivered,
-        prev.chunks_delivered);
-  delta("p2p.chunks_duplicate", counters_.chunks_duplicate,
-        prev.chunks_duplicate);
-  delta("p2p.chunks_uploaded", counters_.chunks_uploaded,
-        prev.chunks_uploaded);
-  delta("p2p.chunks_retried", counters_.chunks_retried,
-        prev.chunks_retried);
-  delta("p2p.requests_refused", counters_.requests_refused,
-        prev.requests_refused);
-  delta("p2p.contacts", counters_.contacts, prev.contacts);
-  delta("p2p.contact_failures", counters_.contact_failures,
-        prev.contact_failures);
-  delta("p2p.timeouts", counters_.timeouts, prev.timeouts);
-  delta("p2p.churn_probe_crashes", counters_.probe_crashes,
-        prev.probe_crashes);
-  delta("p2p.partners_blacklisted", counters_.partners_blacklisted,
-        prev.partners_blacklisted);
-  if (discovery_) {
-    // Control-plane counters live in the service until run() merges
-    // them; sample them live.
-    const DiscoveryCounters& dc = discovery_->counters();
-    DiscoveryCounters& pdc = sample_.prev_discovery;
-    delta("p2p.discovery.joins_ok", dc.joins_ok, pdc.joins_ok);
-    delta("p2p.discovery.join_retries", dc.join_retries, pdc.join_retries);
-    delta("p2p.discovery.failovers", dc.failovers, pdc.failovers);
-    delta("p2p.discovery.recoveries", dc.recoveries, pdc.recoveries);
-    delta("p2p.discovery.tracker_queries", dc.tracker_queries,
-          pdc.tracker_queries);
-    delta("p2p.discovery.dht_lookups", dc.dht_lookups, pdc.dht_lookups);
-    delta("p2p.discovery.gossip_exchanges", dc.gossip_exchanges,
-          pdc.gossip_exchanges);
-  }
-  if (rejoins.count() > 0) {
-    row.histograms.emplace("p2p.discovery.rejoin_latency_ns",
-                           std::move(rejoins));
-  }
-  const std::string& key = config_.series_key.empty()
-                               ? config_.profile.name
-                               : config_.series_key;
-  obs::series()->record(key, index, at, std::move(row));
 }
 
 }  // namespace peerscope::p2p

@@ -14,12 +14,12 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "net/topology.hpp"
-#include "obs/timeseries.hpp"
 #include "p2p/buffer.hpp"
 #include "p2p/churn.hpp"
 #include "p2p/discovery.hpp"
@@ -34,6 +34,7 @@
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
+// Never defined: SwarmConfig::progress below only names it.
 namespace peerscope::obs {
 struct RunProgress;
 }  // namespace peerscope::obs
@@ -63,13 +64,11 @@ struct SwarmConfig {
   /// it trips. nullptr = uncancellable (the default fast path). The
   /// token must outlive the run.
   const util::CancelToken* cancel = nullptr;
-  /// Time-series identity: the run key interval rows are recorded
-  /// under when a TimeseriesRecorder is installed (obs::install_series).
-  /// Empty falls back to the profile name.
+  /// Inert: nothing reads it. perfbench/workloads.cpp still assigns
+  /// it; it goes once perfbench drops that line (ROADMAP item 2).
   std::string series_key;
-  /// Live progress sink for the status reporter / SLO watchdog (see
-  /// obs/watchdog.hpp); nullptr (the default) publishes nothing. The
-  /// sink must outlive the run.
+  /// Inert: nothing reads it. perfbench/workloads.cpp still assigns
+  /// it; it goes once perfbench drops that line (ROADMAP item 2).
   obs::RunProgress* progress = nullptr;
 };
 
@@ -265,11 +264,6 @@ class Swarm {
   [[nodiscard]] sim::GilbertElliott* channel_for(PeerId sender,
                                                 PeerId receiver);
 
-  // --- time-series sampling (engine grid hook; armed only when a
-  // series recorder or progress sink is installed) ---
-  void sample_interval(bool series_on, std::uint64_t index,
-                       util::SimTime at);
-
   // --- helpers ---
   [[nodiscard]] ChunkIndex source_newest() const;
   /// A background partner's current lag, drawn once per (peer, lag
@@ -324,18 +318,6 @@ class Swarm {
   std::unique_ptr<HostImpl> discovery_host_;
   std::unique_ptr<DiscoveryService> discovery_;
   Counters counters_;
-  /// Delta baselines for the sim-time sampling grid: the previous grid
-  /// point's counters, plus the rejoin-latency samples already folded
-  /// into per-interval histograms and the cumulative one whose p99
-  /// feeds the watchdog.
-  struct SampleState {
-    Counters prev;
-    DiscoveryCounters prev_discovery;
-    std::uint64_t prev_events = 0;
-    std::size_t rejoins_seen = 0;
-    obs::LogHistogram rejoin_cumulative;
-  };
-  SampleState sample_;
   util::SimTime chunk_interval_{0};
   /// transmit_train's metric handles, resolved when run() starts.
   sim::TrainMetrics train_metrics_;

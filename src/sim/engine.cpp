@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 
 namespace peerscope::sim {
 
@@ -22,29 +21,11 @@ void Engine::run_until(util::SimTime horizon) {
       if (obs::enabled()) {
         obs::counter("sim.events_executed").add(executed_ - executed_before);
       }
-      if (progress_ != nullptr) {
-        progress_->events.store(executed_, std::memory_order_relaxed);
-        progress_->sim_time_ns.store(now_.ns(), std::memory_order_relaxed);
-      }
       throw util::Cancelled("simulation cancelled at t=" +
                             std::to_string(now_.seconds()) + "s after " +
                             std::to_string(executed_) + " events");
     }
-    // Live progress rides the cancel stride: two relaxed stores per
-    // 256 events when a sink is installed, one pointer test when not.
-    if (progress_ != nullptr && executed_ % kCancelStride == 0) {
-      progress_->events.store(executed_, std::memory_order_relaxed);
-      progress_->sim_time_ns.store(now_.ns(), std::memory_order_relaxed);
-    }
     if (queue_.min().at > horizon.ns()) break;
-    // Fire every grid point strictly before the next event: events at
-    // exactly the grid time execute first, then the sample covers them.
-    while (sample_interval_ns_ != 0 && next_sample_ns_ <= horizon.ns() &&
-           queue_.min().at > next_sample_ns_) {
-      const util::SimTime at{next_sample_ns_};
-      next_sample_ns_ += sample_interval_ns_;
-      sampler_(sample_index_++, at);
-    }
     const CalendarQueue::Entry item = queue_.pop_min();
     EventNode& node = pool_[item.node];
     if (node.seq != item.seq || node.ops == nullptr) continue;  // cancelled
@@ -84,24 +65,10 @@ void Engine::run_until(util::SimTime horizon) {
     } guard{ops, frame};
     ops->invoke(frame);
   }
-  // A finite horizon defines the run's full grid: fire the points
-  // between the last event and the horizon so every series covers the
-  // configured duration. An open-ended run() has no such grid end.
-  if (sample_interval_ns_ != 0 && horizon < util::SimTime::max()) {
-    while (next_sample_ns_ <= horizon.ns()) {
-      const util::SimTime at{next_sample_ns_};
-      next_sample_ns_ += sample_interval_ns_;
-      sampler_(sample_index_++, at);
-    }
-  }
   // One batched publish per drive, not one per event: the event loop
   // is the simulator's innermost hot path.
   if (obs::enabled()) {
     obs::counter("sim.events_executed").add(executed_ - executed_before);
-  }
-  if (progress_ != nullptr) {
-    progress_->events.store(executed_, std::memory_order_relaxed);
-    progress_->sim_time_ns.store(now_.ns(), std::memory_order_relaxed);
   }
 }
 

@@ -24,10 +24,6 @@
 #include "util/cancel.hpp"
 #include "util/sim_time.hpp"
 
-namespace peerscope::obs {
-struct RunProgress;
-}  // namespace peerscope::obs
-
 namespace peerscope::sim {
 
 class Engine {
@@ -139,38 +135,6 @@ class Engine {
   /// events (tests/exp/supervisor_test.cpp:CancelPollStride).
   static constexpr std::uint64_t kCancelStride = 256;
 
-  /// Installs a sim-time sampling hook: `fn(index, at)` fires once
-  /// per grid point `at = k·interval` (k = 1, 2, …), after every
-  /// event with timestamp ≤ at has executed and before any event
-  /// after it — so the sample points, like the events themselves, are
-  /// a pure function of (seed, configuration) and independent of the
-  /// thread-pool size (§5.6). Grid points up to a finite run horizon
-  /// fire even when the queue drains early; a cancelled run stops
-  /// sampling where it stopped executing. Pass a zero interval or
-  /// null fn to uninstall — the default, where the per-event cost is
-  /// one integer compare.
-  void set_sampler(util::SimTime interval,
-                   std::function<void(std::uint64_t, util::SimTime)> fn) {
-    if (interval <= util::SimTime::zero() || fn == nullptr) {
-      sample_interval_ns_ = 0;
-      sampler_ = nullptr;
-      return;
-    }
-    sample_interval_ns_ = interval.ns();
-    next_sample_ns_ = now_.ns() + interval.ns();
-    sample_index_ = 0;
-    sampler_ = std::move(fn);
-  }
-
-  /// Installs a live progress sink: executed-event count and sim time
-  /// are published with relaxed stores at the cancel-poll stride so a
-  /// watchdog or status reporter on another thread can read them.
-  /// nullptr (the default) keeps the loop free of the stores. The
-  /// sink must outlive the run.
-  void set_progress(obs::RunProgress* progress) noexcept {
-    progress_ = progress;
-  }
-
   /// Sample stride for trace checkpoints (power of two; the loop
   /// tests `executed_ & (stride - 1)`): every 2^16 executed events
   /// the tracer — when installed — gets a sim.events_executed counter
@@ -194,11 +158,6 @@ class Engine {
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;  // scheduled, not yet run or cancelled
   const util::CancelToken* cancel_ = nullptr;
-  obs::RunProgress* progress_ = nullptr;
-  std::int64_t sample_interval_ns_ = 0;  // 0 = sampling off
-  std::int64_t next_sample_ns_ = 0;
-  std::uint64_t sample_index_ = 0;
-  std::function<void(std::uint64_t, util::SimTime)> sampler_;
   CalendarQueue queue_;
   EventPool pool_;
 };

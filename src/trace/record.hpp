@@ -30,9 +30,11 @@ struct PacketRecord {
   std::uint8_t ttl = sim::kInitialTtl;
 };
 
-/// Stable ordering for offline analysis: by time, then remote, then
-/// direction — a total order given distinct timestamps from the
-/// serialising link cursors.
+/// Ordering for offline analysis: by time, then remote, then
+/// direction. Not a total order: a probe captures several packets of
+/// one remote and direction at one stamp (say, a request and a
+/// keepalive to one partner), and those tie. A writer that needs fixed
+/// bytes sorts with std::stable_sort, so ties keep capture order.
 [[nodiscard]] inline bool record_before(const PacketRecord& a,
                                         const PacketRecord& b) {
   if (a.ts != b.ts) return a.ts < b.ts;

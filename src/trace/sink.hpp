@@ -92,9 +92,6 @@ class ProbeSink {
     return records_;
   }
 
-  /// Sorts stored records into capture order (no-op effect on flows).
-  void sort_records();
-
  private:
   /// One FlowTable update per run; with keep_records, one record per
   /// packet in capture order.

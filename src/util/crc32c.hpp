@@ -1,8 +1,8 @@
 // CRC-32C (Castagnoli, reflected polynomial 0x82F63B78).
 //
 // The checksum behind every util::framing container: the PSBT trace
-// format (trace/binary_format.hpp), the journal's PSRR result blobs
-// (exp/journal.cpp) and the PSTS series. CRC-32C is the iSCSI/ext4
+// format (trace/binary_format.hpp) and the journal's PSRR result
+// blobs (exp/journal.cpp). CRC-32C is the iSCSI/ext4
 // polynomial, with better burst-error detection than CRC-32/zlib.
 //
 // It sits on the trace I/O hot path: every 19-byte PSBT record frame is

@@ -247,7 +247,6 @@ void decode_frames_salvage(const FrameFormat& format, std::string_view buf,
       // CRC-valid but out of domain: the frame boundary is intact, so
       // only this record is lost.
       ++rep.records_skipped;
-      ++rep.records_rejected;
       if (rep.note.empty()) {
         rep.note = "corrupt record at index " + std::to_string(seen);
       }

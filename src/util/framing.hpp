@@ -1,7 +1,6 @@
 // CRC-32C record framing with sync-marker resynchronisation: the one
 // checksummed container behind the PSBT trace files
-// (trace/binary_format.hpp), the PSTS time-series sidecar
-// (obs/timeseries.hpp) and the PSRR journal result blobs
+// (trace/binary_format.hpp) and the PSRR journal result blobs
 // (exp/journal.hpp). Every record carries its own checksum,
 // periodic sync markers let a salvage reader step past damaged
 // regions, and recovered + skipped always reconciles against the
@@ -14,7 +13,7 @@
 //     u16 version        caller-chosen format version
 //     u16 reserved       0
 //     ext                header_ext_len caller bytes (PSBT: u32 probe
-//                        address; PSTS, PSRR: none)
+//                        address; PSRR: none)
 //     u64 record_count
 //     u32 sync_interval  records between sync markers (0 = none)
 //     u32 header_crc     CRC-32C over every preceding header byte
@@ -133,7 +132,7 @@ struct FrameVisitor {
   std::function<void(const FrameHeader&)> header = [](const FrameHeader&) {};
   /// Called with every CRC-valid payload, in stream order. Returns
   /// false when the payload is out of domain: it is then counted in
-  /// records_rejected and skipped alone.
+  /// records_skipped and skipped alone.
   std::function<bool(std::string_view)> payload;
 };
 

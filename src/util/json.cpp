@@ -62,10 +62,6 @@ void append_number(std::string& out, double value, int precision) {
   append_printf(out, "%.*g", precision, value);
 }
 
-void append_fixed(std::string& out, double value, int decimals) {
-  append_printf(out, "%.*f", decimals, value);
-}
-
 std::optional<std::string> string_field(std::string_view text,
                                         std::string_view key) {
   std::size_t i = value_offset(text, key);
@@ -113,36 +109,6 @@ std::optional<double> number_field(std::string_view text,
     return std::nullopt;
   }
   return value;
-}
-
-std::optional<std::vector<std::string_view>> object_elements(
-    std::string_view text, std::string_view key) {
-  std::size_t i = value_offset(text, key);
-  if (i >= text.size() || text[i] != '[') return std::nullopt;
-  std::vector<std::string_view> elements;
-  std::size_t open = 0;
-  int depth = 0;
-  bool in_string = false;
-  while (++i < text.size()) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-    } else if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      if (depth++ == 0) open = i;
-    } else if (c == '}') {
-      if (--depth < 0) return std::nullopt;
-      if (depth == 0) elements.push_back(text.substr(open, i - open + 1));
-    } else if (c == ']' && depth == 0) {
-      return elements;
-    }
-  }
-  return std::nullopt;  // closing bracket lost to a torn tail
 }
 
 }  // namespace peerscope::util::json

@@ -1,11 +1,10 @@
 // The one JSON dialect every PeerScope artifact speaks (DESIGN.md §9).
 //
-// metrics.json, trace.json, the experiment journal, status.json and
-// the bench records are all written with the escaper and number
-// formatters below, and the journal, status, trace and bench readers
-// all read through the flat field reader. Each format keeps its own
-// layout and whitespace; only the string and number spellings live
-// here.
+// metrics.json, trace.json and the experiment journal are all written
+// with the escaper and number formatters below, and the journal and
+// trace readers read through the flat field reader. Each format keeps
+// its own layout and whitespace; only the string and number spellings
+// live here.
 //
 // The reader is not a general JSON parser. It finds `"key":` (with an
 // optional space after the colon) anywhere in the text and decodes the
@@ -21,7 +20,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace peerscope::util::json {
 
@@ -43,9 +41,6 @@ void append_number(std::string& out, T value) {
 /// prints by default.
 void append_number(std::string& out, double value, int precision = 17);
 
-/// Appends `value` as printf's `%.<decimals>f` in the C locale.
-void append_fixed(std::string& out, double value, int decimals);
-
 /// The string value of `"key":"..."`, unescaped. nullopt when the key
 /// is absent, the value is not a string, or the value is torn (no
 /// closing quote, a cut or unknown escape).
@@ -57,11 +52,5 @@ void append_fixed(std::string& out, double value, int decimals);
 /// of the text reads as nullopt, not as its truncated digits.
 [[nodiscard]] std::optional<double> number_field(std::string_view text,
                                                  std::string_view key);
-
-/// The `{...}` elements of `"key":[...]`, in order, as views into
-/// `text`. nullopt when the key is absent, its value is not an array,
-/// or the array is torn (no closing `]`).
-[[nodiscard]] std::optional<std::vector<std::string_view>> object_elements(
-    std::string_view text, std::string_view key);
 
 }  // namespace peerscope::util::json

@@ -6,8 +6,8 @@
 // every record outside damaged regions, never throws on corrupt input,
 // and accounts for everything it skipped so the analysis can report
 // how much data survived. One report serves every salvaging reader:
-// the framed PSBT traces and PSTS series (util/framing.hpp) and pcap
-// (trace/pcap.hpp).
+// the framed PSBT traces and PSRR result blobs (util/framing.hpp) and
+// pcap (trace/pcap.hpp).
 #pragma once
 
 #include <cstdint>
@@ -18,12 +18,10 @@ namespace peerscope::util {
 struct SalvageReport {
   std::uint64_t records_recovered = 0;
   /// Records present in the byte stream but dropped: damaged regions,
-  /// truncation, and every record counted in records_rejected.
+  /// truncation, and records whose frame was intact but whose contents
+  /// were out of domain (bad field values, foreign packets), each
+  /// skipped alone.
   std::uint64_t records_skipped = 0;
-  /// The part of records_skipped whose frame was intact but whose
-  /// contents were out of domain (bad field values, foreign packets,
-  /// unparseable rows): each was skipped alone.
-  std::uint64_t records_rejected = 0;
   /// Bytes that could not be attributed to any record (truncated tail,
   /// trailing garbage, or the whole file when the header is bad).
   std::uint64_t bytes_discarded = 0;

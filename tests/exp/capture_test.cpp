@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "exp/metadata.hpp"
+#include "exp/testbed.hpp"
 #include "support/scratch_dir.hpp"
 #include "trace/binary_format.hpp"
 
@@ -166,6 +169,59 @@ TEST_F(CaptureTest, CorruptTraceWithoutSalvageThrows) {
     EXPECT_NE(std::string{error.what()}.find("--salvage"),
               std::string::npos);
   }
+}
+
+TEST_F(CaptureTest, WrittenTracesKeepCaptureOrderWithinTies) {
+  // A swarm capture holds record_before ties (one stamp, remote and
+  // direction), some between records that differ, such as a request
+  // and a keepalive to one partner; this one has reordering and
+  // duplication on too. Each PSBT file must hold its sink's records
+  // stably sorted, so tied records keep capture order whatever the
+  // library's sort does with ties. The member write_capture() hides
+  // exp::write_capture, hence the qualified call.
+  RunSpec spec;
+  spec.profile = p2p::SystemProfile::tvants();
+  spec.profile.population.background_peers = 120;
+  spec.seed = 3;
+  spec.duration = util::SimTime::seconds(10);
+  spec.keep_records = true;
+  spec.impairment.reorder_rate = 0.05;
+  spec.impairment.duplicate_rate = 0.05;
+  p2p::SwarmConfig config;
+  config.profile = spec.profile;
+  config.seed = spec.seed;
+  config.duration = spec.duration;
+  config.keep_records = spec.keep_records;
+  config.impairment = spec.impairment;
+  const net::AsTopology topo = net::make_reference_topology();
+  const Testbed testbed = Testbed::table1();
+  p2p::Swarm swarm{topo, testbed.probes(), config};
+  swarm.run();
+  exp::write_capture(swarm, spec, CaptureTarget{dir_.path()});
+
+  const auto same = [](const trace::PacketRecord& a,
+                       const trace::PacketRecord& b) {
+    return a.ts == b.ts && a.remote == b.remote && a.bytes == b.bytes &&
+           a.dir == b.dir && a.kind == b.kind && a.ttl == b.ttl;
+  };
+  std::size_t differing_ties = 0;
+  for (std::size_t i = 0; i < swarm.probe_count(); ++i) {
+    const std::string label = swarm.population().probe_specs()[i].label();
+    SCOPED_TRACE(label);
+    std::vector<trace::PacketRecord> want = swarm.sink(i).records();
+    std::stable_sort(want.begin(), want.end(), trace::record_before);
+    const trace::TraceFile file = trace::read_trace_binary(
+        dir_ / ExperimentMetadata::trace_filename(label));
+    ASSERT_EQ(file.records.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      ASSERT_TRUE(same(file.records[k], want[k])) << "record " << k;
+      if (k > 0 && !trace::record_before(want[k - 1], want[k]) &&
+          !same(want[k - 1], want[k])) {
+        ++differing_ties;
+      }
+    }
+  }
+  EXPECT_GT(differing_ties, 0u);
 }
 
 }  // namespace

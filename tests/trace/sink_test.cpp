@@ -62,15 +62,6 @@ TEST(ProbeSink, WithoutKeepRecordsStoresNothing) {
   EXPECT_FALSE(sink.keeps_records());
 }
 
-TEST(ProbeSink, SortRecordsOrdersByTime) {
-  ProbeSink sink{kProbe, true};
-  sink.signaling_tx(sink.flow(kRemote), SimTime::micros(500), 120);
-  sink.signaling_rx(sink.flow(kRemote), SimTime::micros(100), 120, 105);
-  sink.sort_records();
-  ASSERT_EQ(sink.records().size(), 2u);
-  EXPECT_LT(sink.records()[0].ts, sink.records()[1].ts);
-}
-
 TEST(ProbeSink, OfflineRebuildMatchesOnlineFlows) {
   ProbeSink sink{kProbe, true};
   const std::vector<SimTime> arrivals{SimTime::micros(100),

@@ -6,14 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/journal.hpp"
-#include "exp/status.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
 #include "support/scratch_dir.hpp"
@@ -95,38 +93,6 @@ TEST(Json, EveryPrefixOfAJournalLineReadsNulloptOrExact) {
   }
   expect_prefixes_never_lie(lines[1], "error", string_field);
   expect_prefixes_never_lie(lines[2], "artifact", string_field);
-}
-
-TEST(Json, EveryPrefixOfAStatusDocReadsNulloptOrExact) {
-  const auto path = temp_path("status.json");
-  {
-    exp::StatusReporter reporter{path, std::chrono::milliseconds{1}};
-    reporter.add_run("A \"quoted\" run {x}", 300.0);
-    reporter.add_run("B\\run[1]", 300.0).attempts = 3;
-    reporter.start();
-    reporter.stop();
-  }
-  const std::string doc = read_all(path);
-  expect_prefixes_never_lie(doc, "schema", string_field);
-  expect_prefixes_never_lie(doc, "phase", string_field);
-  expect_prefixes_never_lie(doc, "runs", object_elements);
-  const auto whole = exp::parse_status(doc);
-  ASSERT_TRUE(whole.has_value());
-  ASSERT_EQ(whole->runs.size(), 2u);
-  EXPECT_EQ(whole->runs[0].spec, "A \"quoted\" run {x}");
-  EXPECT_EQ(whole->runs[1].spec, "B\\run[1]");
-  EXPECT_EQ(whole->runs[1].attempts, 3);
-  for (std::size_t n = 0; n < doc.size(); ++n) {
-    const auto cut = exp::parse_status(std::string_view{doc}.substr(0, n));
-    if (!cut) continue;
-    EXPECT_EQ(cut->phase, whole->phase);
-    ASSERT_EQ(cut->runs.size(), whole->runs.size()) << n;
-    for (std::size_t i = 0; i < cut->runs.size(); ++i) {
-      EXPECT_EQ(cut->runs[i].spec, whole->runs[i].spec);
-      EXPECT_EQ(cut->runs[i].attempts, whole->runs[i].attempts);
-      EXPECT_EQ(cut->runs[i].eta_s, whole->runs[i].eta_s);
-    }
-  }
 }
 
 TEST(Json, EveryPrefixOfATraceLineReadsNulloptOrExact) {

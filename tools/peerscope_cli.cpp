@@ -3,18 +3,17 @@
 // walks through each command.
 //
 // kCommands names every command, its operand (analyze DIR,
-// trace-summary PATH, watch STATUS.json, timeline SERIES.psts) and its
-// body. kFlags lists every flag once: the commands that take it, the
-// commands that require it, its value placeholder, and the setter that
-// stores it into Args. A flag every command takes is global and may
-// appear anywhere on the line. parse_args is the one loop that reads a
-// command line against both tables; every numeric value goes through
-// one strict integer parser or one strict real parser. The exit codes
-// are the kExit* constants, registered in tools/exit_codes.def.
+// trace-summary PATH) and its body. kFlags lists every flag once: the
+// commands that take it, the commands that require it, its value
+// placeholder, and the setter that stores it into Args. A flag every
+// command takes is global and may appear anywhere on the line.
+// parse_args is the one loop that reads a command line against both
+// tables; every numeric value goes through one strict integer parser
+// or one strict real parser. The exit codes are the kExit* constants,
+// registered in tools/exit_codes.def.
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -24,26 +23,21 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <variant>
 #include <vector>
 
 #include "aware/report.hpp"
 #include "exp/capture.hpp"
 #include "exp/runner.hpp"
-#include "exp/status.hpp"
 #include "exp/supervisor.hpp"
 #include "exp/testbed.hpp"
 #include "net/topology.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
-#include "obs/watchdog.hpp"
 #include "tools/reproduce.hpp"
 #include "util/io_faults.hpp"
-#include "util/salvage.hpp"
 #include "util/table.hpp"
 
 using namespace peerscope;
@@ -62,9 +56,6 @@ constexpr int kExitBadTrace = 7;
 // The run finished but missed its discovery re-join SLO
 // (exp::DiscoveryDegraded): "degraded as designed", not a crash.
 constexpr int kExitDegraded = 8;
-// The SLO watchdog cancelled a run after a sustained violation of a
-// declared objective: "the watchdog fired", not a crash.
-constexpr int kExitSloViolation = 10;
 
 /// The commands, one bit each, so a flag names the commands that take
 /// it as a mask.
@@ -75,9 +66,7 @@ enum : unsigned {
   kReport = 1U << 3,
   kReproduce = 1U << 4,
   kTraceSummary = 1U << 5,
-  kWatch = 1U << 6,
-  kTimeline = 1U << 7,
-  kGlobal = (1U << 8) - 1,  // every command takes it
+  kGlobal = (1U << 6) - 1,  // every command takes it
   kExperiment = kRun | kReport,
   kSupervised = kRun | kReport | kReproduce,
 };
@@ -91,26 +80,20 @@ struct Args {
   std::optional<std::int64_t> duration_s;  // unset: the command's default
   std::filesystem::path out;
   bool pcap = false;
-  bool csv = false;  // run: .csv trace copies; timeline: CSV rendering
+  bool csv = false;
   int retries = 0;
   double deadline_s = 0.0;
   bool resume = false;
-  obs::SloSpec slo;
-  std::filesystem::path status_path;
   sim::ImpairmentSpec impairment;
   p2p::ChurnSpec churn;
   p2p::DiscoverySpec discovery;
-  // analyze, trace-summary, watch, timeline
+  // analyze, trace-summary
   bool salvage = false;
   bool deterministic = false;
   std::size_t top_n = 20;
-  bool once = false;
-  std::chrono::milliseconds interval{500};
   // global
   std::filesystem::path metrics_path;
   std::filesystem::path trace_path;
-  std::filesystem::path series_path;
-  std::optional<double> series_interval_s;
   std::string io_faults;
   std::uint64_t io_faults_seed = 0;
 };
@@ -237,8 +220,8 @@ const Flag kFlags[] = {
                a.duration_s = static_cast<std::int64_t>(s);
              })},
     {"--pcap", kRun, nullptr, on(&Args::pcap)},
-    {"--csv", kRun | kTimeline, nullptr, on(&Args::csv)},
-    // Supervision (DESIGN.md §10) and the SLO watchdog (§17).
+    {"--csv", kRun, nullptr, on(&Args::csv)},
+    // Supervision (DESIGN.md §10).
     {"--retries", kSupervised, "N",
      integer(0, 100,
              [](Args& a, std::uint64_t n) {
@@ -247,18 +230,6 @@ const Flag kFlags[] = {
     {"--deadline", kSupervised, "S",
      real(0.0, 86'400.0, [](Args& a, double s) { a.deadline_s = s; })},
     {"--resume", kRun | kReproduce, nullptr, on(&Args::resume)},
-    {"--watch-status", kExperiment, "PATH", path(&Args::status_path)},
-    {"--slo-events-floor", kExperiment, "X",
-     real(0.0, 1e18,
-          [](Args& a, double x) { a.slo.events_per_s_floor = x; })},
-    {"--slo-stall", kExperiment, "S",
-     real(0.0, 86'400.0,
-          [](Args& a, double s) { a.slo.stall_window_s = s; })},
-    {"--slo-rejoin-p99-ms", kExperiment, "MS",
-     real(0.0, 1e9,
-          [](Args& a, double ms) {
-            a.slo.rejoin_p99_ceiling_ns = static_cast<std::int64_t>(ms * 1e6);
-          })},
     // Network impairment and churn (§8).
     {"--loss", kExperiment, "P",
      real(0.0, 0.95, [](Args& a, double p) { a.impairment.loss_rate = p; })},
@@ -320,27 +291,16 @@ const Flag kFlags[] = {
             a.discovery.session_tail_alpha = alpha;
           })},
     // Reading stored artifacts.
-    {"--salvage", kAnalyze | kTimeline, nullptr, on(&Args::salvage)},
+    {"--salvage", kAnalyze, nullptr, on(&Args::salvage)},
     {"--top", kTraceSummary, "N",
      integer(1, 10'000,
              [](Args& a, std::uint64_t n) {
                a.top_n = static_cast<std::size_t>(n);
              })},
-    {"--deterministic", kTraceSummary | kTimeline, nullptr,
-     on(&Args::deterministic)},
-    {"--once", kWatch, nullptr, on(&Args::once)},
-    {"--interval-ms", kWatch, "N",
-     integer(10, 60'000,
-             [](Args& a, std::uint64_t ms) {
-               a.interval =
-                   std::chrono::milliseconds{static_cast<std::int64_t>(ms)};
-             })},
-    // Global: sidecars (§9, §12, §17) and storage faults (§15).
+    {"--deterministic", kTraceSummary, nullptr, on(&Args::deterministic)},
+    // Global: sidecars (§9, §12) and storage faults (§15).
     {"--metrics", kGlobal, "PATH", path(&Args::metrics_path)},
     {"--trace", kGlobal, "PATH", path(&Args::trace_path)},
-    {"--series", kGlobal, "PATH", path(&Args::series_path)},
-    {"--series-interval", kGlobal, "S",
-     real(0.001, 1e6, [](Args& a, double s) { a.series_interval_s = s; })},
     {"--io-faults", kGlobal, "SPEC",
      [](Args& a, std::string_view, const char* spec) {
        a.io_faults = spec;
@@ -460,13 +420,11 @@ void print_discovery_counters(const p2p::DiscoveryCounters& d) {
   }
 }
 
-/// Maps a supervised failure to the CLI exit code: a run the SLO
-/// watchdog cancelled (the supervisor's "slo violation: ..." prefix)
-/// is 10, a run that finished but missed its re-join SLO
-/// (exp::DiscoveryDegraded's message prefix) is "degraded" (8),
-/// anything else is a runtime error (1).
+/// Maps a supervised failure to the CLI exit code: a run that
+/// finished but missed its re-join SLO (exp::DiscoveryDegraded's
+/// message prefix) is "degraded" (8), anything else is a runtime
+/// error (1).
 int failure_exit_code(const std::string& error) {
-  if (error.starts_with("slo violation")) return kExitSloViolation;
   return error.starts_with("discovery degraded") ? kExitDegraded : 1;
 }
 
@@ -495,8 +453,6 @@ int run_supervised(const Args& args, const exp::CaptureTarget* capture) {
   exp::SupervisorConfig supervision;
   supervision.retries = args.retries;
   supervision.deadline_s = args.deadline_s;
-  supervision.slo = args.slo;
-  supervision.status_path = args.status_path;
   if (capture != nullptr) {
     std::filesystem::create_directories(capture->dir);
     supervision.resume = args.resume;
@@ -618,89 +574,6 @@ int cmd_trace_summary(const Args& args) {
   return 0;
 }
 
-/// One rendered snapshot of a status.json document: the per-run table
-/// `peerscope watch` repaints.
-std::string render_status(const exp::StatusView& view) {
-  util::TextTable table{
-      {"run", "state", "att", "events", "sim s", "events/s", "eta s"}};
-  for (const auto& run : view.runs) {
-    table.add_row({run.spec, run.state, std::to_string(run.attempts),
-                   util::TextTable::count(run.events),
-                   util::TextTable::num(run.sim_time_s, 1),
-                   util::TextTable::num(run.events_per_s, 0),
-                   run.eta_s >= 0 ? util::TextTable::num(run.eta_s, 0)
-                                  : std::string{"-"}});
-  }
-  return "phase: " + view.phase + '\n' + table.render();
-}
-
-// Tails the atomically-rewritten status.json a supervised run
-// publishes via --watch-status. Every rewrite is a rename, so a read
-// never observes a torn document; a transiently missing file (watch
-// started before the run) is retried, not fatal. Exits when the batch
-// phase turns "done", or immediately with --once.
-int cmd_watch(const Args& args) {
-  bool seen = false;
-  for (;;) {
-    const auto text = util::io::read_file(args.operand);
-    std::optional<exp::StatusView> view;
-    if (text.has_value()) view = exp::parse_status(*text);
-    if (view.has_value()) {
-      seen = true;
-      std::cout << render_status(*view) << std::flush;
-      if (view->phase == "done") return 0;
-    } else if (args.once || seen) {
-      // Gone or unparseable after we saw it once: the writer is not
-      // coming back (or the file was never a status document).
-      std::cerr << "watch: cannot read status from "
-                << args.operand.string() << '\n';
-      return 1;
-    }
-    if (args.once) return 0;
-    std::this_thread::sleep_for(args.interval);
-  }
-}
-
-// Renders a PSTS time-series sidecar (--series). Default markdown;
-// --csv for the long form, --deterministic for the canonical
-// rendering compared across pool sizes. Strict by default — a corrupt
-// file is kExitBadTrace, mirroring trace-summary — while --salvage
-// recovers every interval outside damaged regions with drop
-// accounting on stderr.
-int cmd_timeline(const Args& args) {
-  const std::filesystem::path& path = args.operand;
-  obs::SeriesSnapshot snapshot;
-  try {
-    if (args.salvage) {
-      util::SalvageReport report;
-      snapshot = obs::read_series_salvage(path, &report);
-      if (report.records_skipped > 0) {
-        std::cerr << "timeline: salvage: dropped "
-                  << report.records_skipped - report.records_rejected
-                  << " damaged record(s), " << report.records_rejected
-                  << " unparseable payload(s)\n";
-      }
-    } else {
-      snapshot = obs::read_series(path);
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "timeline: " << error.what() << '\n';
-    return kExitBadTrace;
-  }
-  if (snapshot.runs.empty()) {
-    std::cerr << "timeline: no intervals in " << path.string() << '\n';
-    return kExitBadTrace;
-  }
-  if (args.deterministic) {
-    std::cout << obs::deterministic_series(snapshot);
-  } else if (args.csv) {
-    std::cout << obs::render_series_csv(snapshot);
-  } else {
-    std::cout << obs::render_series_markdown(snapshot);
-  }
-  return 0;
-}
-
 struct Command {
   std::string_view name;
   unsigned bit;
@@ -715,8 +588,6 @@ const Command kCommands[] = {
     {"report", kReport, nullptr, cmd_report},
     {"reproduce", kReproduce, nullptr, cmd_reproduce},
     {"trace-summary", kTraceSummary, "PATH", cmd_trace_summary},
-    {"watch", kWatch, "STATUS.json", cmd_watch},
-    {"timeline", kTimeline, "SERIES.psts", cmd_timeline},
 };
 
 /// Prints `items` after `head`, wrapped at 78 columns.
@@ -765,8 +636,7 @@ int usage(int code) {
   out << R"(
 exit codes: 0 ok, 1 runtime error, 2 usage, 3 unknown app, 4 bad value,
             5 partial success, 6 bad capture directory, 7 bad trace file,
-            8 degraded (discovery re-join missed --rejoin-deadline),
-            10 SLO violation (watchdog cancelled a supervised run)
+            8 degraded (discovery re-join missed --rejoin-deadline)
 
 apps: pplive | sopcast | tvants | pplive-popular | napawine-proto
 )";
@@ -839,10 +709,6 @@ std::variant<const Command*, int> parse_args(int argc, char** argv,
     std::cerr << command->name << " needs " << command->operand << '\n';
     return usage(kExitUsage);
   }
-  if (args.series_interval_s && args.series_path.empty()) {
-    std::cerr << "--series-interval requires --series\n";
-    return usage(kExitUsage);
-  }
   if (args.discovery.fallback != p2p::DiscoveryBackendKind::kNone &&
       args.discovery.primary == p2p::DiscoveryBackendKind::kNone) {
     std::cerr << "--fallback requires --discovery\n";
@@ -892,9 +758,6 @@ int main(int argc, char** argv) {
   if (!args.metrics_path.empty()) obs::install(&registry);
   obs::TraceRecorder recorder;
   if (!args.trace_path.empty()) obs::install_tracer(&recorder);
-  obs::TimeseriesRecorder series{
-      seconds_to_simtime(args.series_interval_s.value_or(10.0))};
-  if (!args.series_path.empty()) obs::install_series(&series);
 
   int code = 1;
   try {
@@ -903,10 +766,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << error.what() << '\n';
   }
 
-  obs::install_series(nullptr);
-  write_sidecar("series", args.series_path, code, [&] {
-    obs::write_series(args.series_path, series.snapshot());
-  });
   obs::install_tracer(nullptr);
   write_sidecar("trace", args.trace_path, code, [&] {
     obs::write_trace_json(args.trace_path, recorder.snapshot());
