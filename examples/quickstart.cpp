@@ -1,7 +1,7 @@
-// Quickstart: run one scaled-down P2P-TV experiment and print the
-// summary plus the network-awareness table — the whole pipeline
+// Quickstart: run one scaled-down P2P-TV experiment and print its
+// analysis in `peerscope report`'s layout — the whole pipeline
 // (simulate -> capture -> contributor heuristic -> preference
-// framework) in ~40 lines of user code.
+// framework -> report) in ~30 lines of user code.
 //
 //   ./quickstart [app] [seed] [duration_s]
 //     app: tvants (default) | sopcast | pplive | pplive-popular
@@ -10,10 +10,9 @@
 #include <iostream>
 #include <string>
 
-#include "aware/report.hpp"
+#include "aware/render.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
-#include "util/table.hpp"
 
 using namespace peerscope;
 
@@ -27,10 +26,6 @@ p2p::SystemProfile profile_by_name(const std::string& name) {
   std::cerr << "unknown app '" << name
             << "' (expected tvants|sopcast|pplive|pplive-popular)\n";
   std::exit(2);
-}
-
-std::string opt(const std::optional<double>& v) {
-  return v ? util::TextTable::num(*v, 1) : "-";
 }
 
 }  // namespace
@@ -54,43 +49,8 @@ int main(int argc, char** argv) {
             << "...\n";
   const exp::RunResult result = exp::run_experiment(topo, spec);
 
-  const aware::ExperimentSummary s = aware::summarize(result.observations);
-  util::TextTable summary{{"metric", "mean", "max"}};
-  summary.add_row({"stream RX [kbps]", util::TextTable::num(s.rx_kbps_mean),
-                   util::TextTable::num(s.rx_kbps_max)});
-  summary.add_row({"stream TX [kbps]", util::TextTable::num(s.tx_kbps_mean),
-                   util::TextTable::num(s.tx_kbps_max)});
-  summary.add_row({"all peers", util::TextTable::num(s.all_peers_mean),
-                   util::TextTable::count(s.all_peers_max)});
-  summary.add_row({"contributors RX",
-                   util::TextTable::num(s.contrib_rx_mean),
-                   util::TextTable::count(s.contrib_rx_max)});
-  summary.add_row({"contributors TX",
-                   util::TextTable::num(s.contrib_tx_mean),
-                   util::TextTable::count(s.contrib_tx_max)});
-  summary.add_row(
-      {"observed peers total", util::TextTable::count(s.observed_total), ""});
-  std::cout << '\n' << summary.render();
-
-  const aware::SelfBias bias = aware::self_bias(result.observations);
-  std::cout << "\nself-induced bias (contributors): peers "
-            << util::TextTable::num(bias.contributors_peer_pct)
-            << "%  bytes "
-            << util::TextTable::num(bias.contributors_bytes_pct) << "%\n";
-
-  const auto table4 = aware::awareness_table(result.observations);
-  util::TextTable awareness{
-      {"net", "B'D%", "P'D%", "BD%", "PD%", "B'U%", "P'U%", "BU%", "PU%"}};
-  for (const auto& row : table4) {
-    awareness.add_row({aware::to_string(row.metric),
-                       opt(row.download.b_prime_pct),
-                       opt(row.download.p_prime_pct), opt(row.download.b_pct),
-                       opt(row.download.p_pct), opt(row.upload.b_prime_pct),
-                       opt(row.upload.p_prime_pct), opt(row.upload.b_pct),
-                       opt(row.upload.p_pct)});
-  }
-  std::cout << "\nnetwork awareness (Table IV layout):\n"
-            << awareness.render();
+  std::cout << aware::render_app(result.observations.app,
+                                 aware::app_report(result.observations));
 
   std::cout << "\nsim counters: delivered=" << result.counters.chunks_delivered
             << " dup=" << result.counters.chunks_duplicate

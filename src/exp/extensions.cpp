@@ -4,9 +4,12 @@
 #include <array>
 #include <functional>
 #include <optional>
+#include <span>
+#include <string>
 
 #include "aware/bandwidth.hpp"
 #include "aware/preference.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace peerscope::exp {
@@ -72,51 +75,7 @@ bool tvants_leads(const Ratios& r) {
   return r[2] > 1.5 && r[2] > r[1] && r[2] > r[0];
 }
 
-void fold_cell(CellDistribution& dist, const aware::AwarenessCell& cell) {
-  if (cell.b_prime_pct) dist.b_prime.add(*cell.b_prime_pct);
-  if (cell.p_prime_pct) dist.p_prime.add(*cell.p_prime_pct);
-  if (cell.b_pct) dist.b.add(*cell.b_pct);
-  if (cell.p_pct) dist.p.add(*cell.p_pct);
-}
-
 }  // namespace
-
-SensitivityResult run_sensitivity(const net::AsTopology& topo,
-                                  const p2p::SystemProfile& profile,
-                                  util::SimTime duration,
-                                  std::span<const std::uint64_t> seeds,
-                                  util::ThreadPool& pool) {
-  std::vector<RunSpec> specs;
-  specs.reserve(seeds.size());
-  for (const std::uint64_t seed : seeds) {
-    RunSpec spec;
-    spec.profile = profile;
-    spec.seed = seed;
-    spec.duration = duration;
-    specs.push_back(std::move(spec));
-  }
-  const auto results = run_experiments(topo, specs, pool);
-
-  SensitivityResult out;
-  out.app = profile.name;
-  out.replications = results.size();
-  out.metrics.resize(5);
-
-  for (const auto& result : results) {
-    const auto rows = aware::awareness_table(result.observations);
-    for (std::size_t m = 0; m < rows.size(); ++m) {
-      out.metrics[m].metric = rows[m].metric;
-      fold_cell(out.metrics[m].download, rows[m].download);
-      fold_cell(out.metrics[m].upload, rows[m].upload);
-    }
-    out.self_bias_bytes_pct.add(
-        aware::self_bias(result.observations).contributors_bytes_pct);
-    const auto summary = aware::summarize(result.observations);
-    out.rx_kbps_mean.add(summary.rx_kbps_mean);
-    out.tx_kbps_mean.add(summary.tx_kbps_mean);
-  }
-  return out;
-}
 
 std::vector<aware::Claim> ablation_claims(const net::AsTopology& topo,
                                           util::ThreadPool& pool) {
@@ -218,13 +177,20 @@ std::vector<aware::Claim> ablation_claims(const net::AsTopology& topo,
 
 std::vector<aware::Claim> sensitivity_claims(const net::AsTopology& topo,
                                              util::ThreadPool& pool) {
-  const std::uint64_t seeds[] = {kSeed, kSeed + 1, kSeed + 2, kSeed + 3,
-                                 kSeed + 4};
-  const auto duration = util::SimTime::seconds(150);
+  // AS B'D of `profile` over seeds 42-46, one run per seed.
   const auto as_bytes = [&](const p2p::SystemProfile& profile) {
-    return run_sensitivity(topo, profile, duration, seeds, pool)
-        .metrics[kAsRow]
-        .download.b_prime;
+    std::vector<RunSpec> specs;
+    for (std::uint64_t seed = kSeed; seed < kSeed + 5; ++seed) {
+      specs.push_back(make_spec(profile, 150, seed));
+    }
+    util::OnlineStats stats;
+    for (const auto& result : run_experiments(topo, specs, pool)) {
+      const auto rows = aware::awareness_table(result.observations);
+      if (const auto& b_prime = rows[kAsRow].download.b_prime_pct) {
+        stats.add(*b_prime);
+      }
+    }
+    return stats;
   };
   const util::OnlineStats tvants = as_bytes(p2p::SystemProfile::tvants());
   const util::OnlineStats sopcast = as_bytes(p2p::SystemProfile::sopcast());

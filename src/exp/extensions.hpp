@@ -5,49 +5,15 @@
 // churn and tracker outages and hold across seeds, and the paper's
 // recommended locality-aware client pays off. Every row is expected to
 // hold; tests/exp/extensions_test.cpp checks them in tier-1.
-//
-// run_sensitivity, which the sensitivity sweep is built on, folds the
-// Table IV cells of several replications into mean ± stddev
-// distributions.
 #pragma once
 
-#include <span>
-#include <string>
 #include <vector>
 
 #include "aware/claims.hpp"
-#include "aware/report.hpp"
 #include "exp/runner.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace peerscope::exp {
-
-struct CellDistribution {
-  util::OnlineStats b_prime, p_prime, b, p;
-};
-
-struct MetricDistribution {
-  aware::Metric metric{};
-  CellDistribution download;
-  CellDistribution upload;
-};
-
-struct SensitivityResult {
-  std::string app;
-  std::size_t replications = 0;
-  std::vector<MetricDistribution> metrics;  // BW, AS, CC, NET, HOP
-  util::OnlineStats self_bias_bytes_pct;
-  util::OnlineStats rx_kbps_mean;
-  util::OnlineStats tx_kbps_mean;
-};
-
-/// Runs the profile once per seed (concurrently on `pool`) and folds
-/// the awareness tables into per-cell distributions.
-[[nodiscard]] SensitivityResult run_sensitivity(
-    const net::AsTopology& topo, const p2p::SystemProfile& profile,
-    util::SimTime duration, std::span<const std::uint64_t> seeds,
-    util::ThreadPool& pool);
 
 /// Planted-bias ablation on TVAnts (120 s, 520 background peers, 27
 /// runs): the same-AS scheduling weight over three seeds per weight,

@@ -54,16 +54,6 @@ class CancelToken {
            deadline;
   }
 
-  /// Whether an armed deadline (rather than an explicit request)
-  /// tripped the token — distinguishes "timed out" from "cancelled".
-  [[nodiscard]] bool deadline_passed() const noexcept {
-    const std::int64_t deadline =
-        deadline_ns_.load(std::memory_order_relaxed);
-    if (deadline == kNoDeadline) return false;
-    return std::chrono::steady_clock::now().time_since_epoch().count() >=
-           deadline;
-  }
-
  private:
   static constexpr std::int64_t kNoDeadline =
       std::numeric_limits<std::int64_t>::min();

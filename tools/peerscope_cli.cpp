@@ -26,7 +26,7 @@
 #include <variant>
 #include <vector>
 
-#include "aware/report.hpp"
+#include "aware/render.hpp"
 #include "exp/capture.hpp"
 #include "exp/runner.hpp"
 #include "exp/supervisor.hpp"
@@ -311,73 +311,6 @@ const Flag kFlags[] = {
              [](Args& a, std::uint64_t n) { a.io_faults_seed = n; })},
 };
 
-void print_analysis(const aware::ExperimentObservations& data) {
-  const auto summary = aware::summarize(data);
-  util::TextTable overview{{"metric", "mean", "max"}};
-  overview.add_row({"stream RX [kbps]",
-                    util::TextTable::num(summary.rx_kbps_mean, 0),
-                    util::TextTable::num(summary.rx_kbps_max, 0)});
-  overview.add_row({"stream TX [kbps]",
-                    util::TextTable::num(summary.tx_kbps_mean, 0),
-                    util::TextTable::num(summary.tx_kbps_max, 0)});
-  overview.add_row({"peers / probe",
-                    util::TextTable::num(summary.all_peers_mean, 0),
-                    util::TextTable::count(summary.all_peers_max)});
-  overview.add_row({"RX contributors / probe",
-                    util::TextTable::num(summary.contrib_rx_mean, 0),
-                    util::TextTable::count(summary.contrib_rx_max)});
-  overview.add_row({"TX contributors / probe",
-                    util::TextTable::num(summary.contrib_tx_mean, 0),
-                    util::TextTable::count(summary.contrib_tx_max)});
-  overview.add_row(
-      {"observed peers", util::TextTable::count(summary.observed_total), ""});
-  std::cout << '\n' << data.app << " overview:\n" << overview.render();
-
-  const auto bias = aware::self_bias(data);
-  std::cout << "\nself-induced bias (contributors): peers "
-            << util::TextTable::num(bias.contributors_peer_pct) << "%, bytes "
-            << util::TextTable::num(bias.contributors_bytes_pct) << "%\n";
-
-  const auto rows = aware::awareness_table(data);
-  util::TextTable awareness{
-      {"net", "B'D%", "P'D%", "BD%", "PD%", "B'U%", "P'U%", "BU%", "PU%"}};
-  const auto cell = [](const std::optional<double>& v) {
-    return v ? util::TextTable::num(*v) : std::string{"-"};
-  };
-  for (const auto& row : rows) {
-    awareness.add_row({aware::to_string(row.metric),
-                       cell(row.download.b_prime_pct),
-                       cell(row.download.p_prime_pct),
-                       cell(row.download.b_pct), cell(row.download.p_pct),
-                       cell(row.upload.b_prime_pct),
-                       cell(row.upload.p_prime_pct), cell(row.upload.b_pct),
-                       cell(row.upload.p_pct)});
-  }
-  std::cout << "\nnetwork awareness:\n" << awareness.render();
-
-  // Figure 2: mean kB a high-bw probe sent to one in each AS, with the
-  // intra-AS diagonal bracketed.
-  const auto matrix = aware::as_traffic_matrix(data);
-  std::vector<std::string> header{data.app + " [kB]"};
-  for (const auto as : matrix.ases) header.push_back("to " + as.to_string());
-  util::TextTable exchanged{header};
-  for (std::size_t i = 0; i < matrix.ases.size(); ++i) {
-    std::vector<std::string> row{"from " + matrix.ases[i].to_string()};
-    for (std::size_t j = 0; j < matrix.ases.size(); ++j) {
-      const std::string kb = util::TextTable::num(matrix.at(i, j) / 1e3, 0);
-      row.push_back(i == j ? "[" + kb + "]" : kb);
-    }
-    exchanged.add_row(std::move(row));
-  }
-  std::cout << "\nmean exchanged data among high-bw probes:\n"
-            << exchanged.render()
-            << "R (intra/inter, same-subnet pairs excluded as in §IV-B) = "
-            << util::TextTable::num(matrix.intra_inter_ratio, 2)
-            << "   [including LAN pairs: "
-            << util::TextTable::num(matrix.intra_inter_ratio_with_lan, 2)
-            << "]\n";
-}
-
 int cmd_testbed(const Args&) {
   const net::AsTopology topo = net::make_reference_topology();
   const exp::Testbed testbed = exp::Testbed::table1();
@@ -487,7 +420,8 @@ int run_supervised(const Args& args, const exp::CaptureTarget* capture) {
     std::cerr << "wrote " << run.result->observations.probes.size()
               << " traces + metadata to " << capture->dir << '\n';
   } else {
-    print_analysis(run.result->observations);
+    const auto& data = run.result->observations;
+    std::cout << aware::render_app(data.app, aware::app_report(data));
   }
   if (spec.impairment.enabled() || spec.churn.enabled()) {
     print_fault_counters(run.result->counters);
@@ -531,7 +465,7 @@ int cmd_analyze(const Args& args) {
   if (args.salvage && !load.clean()) {
     std::cerr << "salvage: analysis continues on the recovered records\n";
   }
-  print_analysis(load.data);
+  std::cout << aware::render_app(load.data.app, aware::app_report(load.data));
   return 0;
 }
 

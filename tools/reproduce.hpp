@@ -1,6 +1,7 @@
 // `peerscope reproduce`: one command that reruns every experiment and
 // writes a self-contained markdown report with paper-vs-measured rows
-// for all tables and figures — the repository's headline artifact.
+// for all tables and figures — the repository's headline artifact,
+// rendered by aware::render_reproduction (aware/render.hpp).
 //
 // Runs are supervised (exp/supervisor.hpp): a failing or timed-out
 // application no longer aborts the whole reproduction — the report
